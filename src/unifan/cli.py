@@ -20,6 +20,11 @@ class FanFileError(Exception):
     pass
 
 
+def _is_int(value) -> bool:
+    """JSON integers only: `true`/`false` load as bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_fan_file(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -36,14 +41,14 @@ def load_fan_file(path: str):
     dim = data["dim"]
     rays = data["rays"]
     max_cones = data["max_cones"]
-    if not isinstance(dim, int) or isinstance(dim, bool):
+    if not _is_int(dim):
         raise FanFileError("dim must be an integer")
     if not isinstance(rays, list) or not all(
-        isinstance(r, list) and all(isinstance(x, int) for x in r) for r in rays
+        isinstance(r, list) and all(_is_int(x) for x in r) for r in rays
     ):
         raise FanFileError("rays must be a list of integer vectors")
     if not isinstance(max_cones, list) or not all(
-        isinstance(c, list) and all(isinstance(i, int) for i in c) for c in max_cones
+        isinstance(c, list) and all(_is_int(i) for i in c) for c in max_cones
     ):
         raise FanFileError("max_cones must be a list of ray-index lists")
     return dim, rays, max_cones

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import gcd
 
-from .linalg import IntVec, LinearSystem, feasible, rational_rank
+from .linalg import IntVec, LinearSystem, feasible, int_det, rational_rank
 
 
 class FanError(Exception):
@@ -117,12 +117,62 @@ def _pairwise_intersection_ok(fan_dim, rays, c1: Cone, c2: Cone) -> bool:
     return not feasible(system)
 
 
+def _complete_certificate(dim, rays, maximal) -> bool:
+    """Integer certificate that simplicial cones form a complete fan.
+
+    The pseudomanifold / consistent-orientation / covering-degree-1
+    characterisation of triangulations (De Loera-Rambau-Santos,
+    *Triangulations*, Springer 2010, ch. 4), applied to the sphere:
+
+    (a) every cone has `dim` rays and every ridge lies in exactly two cones;
+    (b) the two rays opposite a ridge R lie strictly on opposite sides of
+        its hyperplane: det(R, a) and det(R, b), with the same row order
+        of R, are nonzero of opposite signs;
+    (c) q = the sum of the rays of maximal[0], interior to that cone, lies
+        in no other cone (Cramer signs), so the covering degree is 1.
+
+    (a) and (b) make the cones cover every generic point the same number
+    of times; (c) makes that number 1, which rules out a fan that wraps
+    around twice. True proves the fan valid and complete; False proves
+    nothing, and the caller falls back to the LP checks. The cones must
+    already be known to be simplicial.
+    """
+    if not maximal or any(len(c) != dim for c in maximal):
+        return False
+    # det(R, a) is det(cone) with a's row moved last: dim-1-pos transpositions.
+    dets = []
+    ridge_sides: dict[tuple, list[bool]] = {}
+    for cone in maximal:
+        idx = cone.ray_indices
+        det = int_det([rays[i] for i in idx])
+        if det == 0:
+            return False
+        dets.append(det)
+        for pos in range(dim):
+            ridge = idx[:pos] + idx[pos + 1 :]
+            ridge_sides.setdefault(ridge, []).append((det > 0) == ((dim - 1 - pos) % 2 == 0))
+    if any(len(sides) != 2 or sides[0] == sides[1] for sides in ridge_sides.values()):
+        return False
+    q = tuple(sum(col) for col in zip(*(rays[i] for i in maximal[0].ray_indices)))
+    for cone, det in zip(maximal[1:], dets[1:]):
+        rows = [rays[i] for i in cone.ray_indices]
+        # q is in the closed cone iff every Cramer coefficient is >= 0.
+        if all(int_det(rows[:k] + [q] + rows[k + 1 :]) * det >= 0 for k in range(dim)):
+            return False
+    return True
+
+
 def validate_fan(dim, rays, max_cones, require_complete: bool = False) -> Fan:
     """Validate raw fan data and derive the full face list.
 
     Checks ray primitivity and distinctness, simpliciality of every cone,
-    and the pairwise-intersection axiom (exact rational feasibility); with
-    require_complete, also demands a complete fan.
+    and that no ray is unused. With require_complete, a complete fan is
+    then proved by `_complete_certificate` (integer determinants, no LP,
+    linear in the number of cones). Without it, or when the certificate
+    fails, every pair of maximal cones is checked to meet in a common face
+    (one exact rational LP per pair) and completeness by `is_complete`;
+    the error raised therefore names the offending pair or reports
+    NotComplete exactly as that path decides.
     """
     if dim < 1:
         raise ValueError("fan dimension must be positive")
@@ -156,33 +206,31 @@ def validate_fan(dim, rays, max_cones, require_complete: bool = False) -> Fan:
             )
         cones.append(Cone(idx))
 
-    # Normalize the maximal list: drop duplicates and faces of other cones.
+    # Normalize the maximal list: drop duplicates and proper faces of
+    # other listed cones. A face of a face is a face, so the faces of all
+    # listed cones are exactly the faces of the maximal ones.
     cones = sorted(set(cones), key=_sort_key)
-    maximal = [
-        c
-        for c in cones
-        if not any(
-            c is not other and set(c.ray_indices) < set(other.ray_indices)
-            for other in cones
-        )
-    ]
+    proper_faces = set()
+    for c in cones:
+        for size in range(len(c.ray_indices)):
+            proper_faces.update(combinations(c.ray_indices, size))
+    maximal = [c for c in cones if c.ray_indices not in proper_faces]
 
     used = {i for c in maximal for i in c.ray_indices}
     missing = sorted(set(range(len(ray_vecs))) - used)
     if missing:
         raise FanConditionViolated(f"rays {missing} belong to no maximal cone")
 
-    faces = {()}
-    for c in maximal:
-        for size in range(1, len(c.ray_indices) + 1):
-            faces.update(combinations(c.ray_indices, size))
+    faces = proper_faces | {c.ray_indices for c in maximal} | {()}
     all_cones = tuple(sorted((Cone(f) for f in faces), key=_sort_key))
 
-    for c1, c2 in combinations(maximal, 2):
-        if not _pairwise_intersection_ok(dim, ray_vecs, c1, c2):
-            raise FanConditionViolated(
-                f"cones {c1.ray_indices} and {c2.ray_indices} overlap beyond a common face"
-            )
+    certified = require_complete and _complete_certificate(dim, ray_vecs, maximal)
+    if not certified:
+        for c1, c2 in combinations(maximal, 2):
+            if not _pairwise_intersection_ok(dim, ray_vecs, c1, c2):
+                raise FanConditionViolated(
+                    f"cones {c1.ray_indices} and {c2.ray_indices} overlap beyond a common face"
+                )
 
     fan = Fan(
         dim=dim,
@@ -191,7 +239,7 @@ def validate_fan(dim, rays, max_cones, require_complete: bool = False) -> Fan:
         all_cones=all_cones,
         cone_set=frozenset(c.ray_indices for c in all_cones),
     )
-    if require_complete and not is_complete(fan):
+    if require_complete and not certified and not is_complete(fan):
         raise NotComplete("the fan does not cover the ambient space")
     return fan
 
@@ -201,7 +249,11 @@ def is_complete(fan: Fan) -> bool:
 
     A validated simplicial fan covers the ambient space exactly when all
     maximal cones are full-dimensional, every ridge lies in exactly two of
-    them, and the ridge-adjacency graph is connected.
+    them, and the ridge-adjacency graph is connected. The fan must already
+    satisfy the pairwise-intersection axiom; for raw data,
+    `validate_fan(..., require_complete=True)` proves both at once with the
+    certificate of De Loera-Rambau-Santos, *Triangulations*, ch. 4, and
+    uses this test only when that certificate fails.
     """
     n = fan.dim
     if not fan.max_cones:

@@ -216,6 +216,33 @@ def invert_unimodular(b: IntMat) -> IntMat:
     return v @ u
 
 
+def int_det(rows) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination.
+
+    Fraction-free: every intermediate entry is an integer minor, and each
+    division below is exact (Bareiss, Math. Comp. 22, 1968).
+    """
+    m = [list(row) for row in rows]
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix is not square")
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        pk, rk = m[k][k], m[k]
+        for i in range(k + 1, n):
+            ri, lead = m[i], m[i][k]
+            for j in range(k + 1, n):
+                ri[j] = (ri[j] * pk - lead * rk[j]) // prev
+        prev = pk
+    return sign * m[n - 1][n - 1] if n else 1
+
+
 def rational_rank(vectors) -> int:
     """Rank over the rationals of a list of integer vectors."""
     rows = [[Fraction(x) for x in vec] for vec in vectors]

@@ -62,6 +62,31 @@ class TestAnalyze:
         assert code == 2
         assert json.loads(out)["error"]["kind"] == "FanFileError"
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (
+                {"dim": 2, "rays": [[True, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [2, 0]]},
+                "rays must be a list of integer vectors",
+            ),
+            (
+                {"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, True], [1, 2], [2, 0]]},
+                "max_cones must be a list of ray-index lists",
+            ),
+            (
+                {"dim": True, "rays": [[1], [-1]], "max_cones": [[0], [1]]},
+                "dim must be an integer",
+            ),
+        ],
+    )
+    def test_boolean_entries_rejected(self, capsys, tmp_path, data, message):
+        # JSON true/false load as bool, which Python counts as int 1/0
+        f = tmp_path / "bools.json"
+        f.write_text(json.dumps(data))
+        code, out = run(capsys, "analyze", str(f))
+        assert code == 2
+        assert json.loads(out) == {"error": {"kind": "FanFileError", "message": message}}
+
     def test_requires_exactly_one_source(self, capsys):
         code, out = run(capsys, "analyze")
         assert code == 2

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
+import unifan.fan as fan_module
 from unifan.fan import (
     Cone,
     DuplicateRay,
@@ -10,12 +12,16 @@ from unifan.fan import (
     NonPrimitiveRay,
     NonSimplicialCone,
     NotComplete,
+    _complete_certificate,
+    _pairwise_intersection_ok,
     cones_with_rayset,
     is_complete,
     validate_fan,
 )
+from unifan.linalg import feasible
 
 from conftest import RADIANT_FIXTURES, family
+from test_random_fans import random_complete_surface
 
 HIRZ2_RAYS = [(1, 0), (0, 1), (-1, -2), (0, -1)]
 HIRZ2_CONES = [[0, 1], [1, 2], [2, 3], [3, 0]]
@@ -180,3 +186,149 @@ class TestFanInvariants:
     def test_all_cones_sorted_by_size_then_lex(self, f2):
         keys = [(len(c.ray_indices), c.ray_indices) for c in f2.all_cones]
         assert keys == sorted(keys)
+
+
+P1 = (1, [(1,), (-1,)], [[0], [1]])
+P2 = (2, [(1, 0), (0, 1), (-1, -1)], [[0, 1], [1, 2], [2, 0]])
+DP6 = (2, [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)], [[i, (i + 1) % 6] for i in range(6)])
+
+# Six rays turning by less than a half turn each time, twice around the
+# origin: every ridge check passes, but the cones cover the plane twice.
+DOUBLE_WRAP_RAYS = [(1, 0), (-1, 2), (-1, -2), (1, 1), (-1, 0), (1, -2)]
+DOUBLE_WRAP_CONES = [[i, (i + 1) % 6] for i in range(6)]
+
+
+def product_data(factors):
+    """Raw data of a product fan: block-diagonal rays, products of cones."""
+    dim = sum(d for d, _, _ in factors)
+    rays, offsets, shift = [], [], 0
+    for d, f_rays, _ in factors:
+        offsets.append(len(rays))
+        rays += [(0,) * shift + tuple(r) + (0,) * (dim - shift - d) for r in f_rays]
+        shift += d
+    cones = [
+        sorted(i + off for cone, off in zip(choice, offsets) for i in cone)
+        for choice in product(*(f_cones for _, _, f_cones in factors))
+    ]
+    return dim, rays, cones
+
+
+def suspended_double_wrap():
+    """The double wrap coned off to +e3 and -e3: a 3-dimensional double cover."""
+    rays = [(x, y, 0) for x, y in DOUBLE_WRAP_RAYS] + [(0, 0, 1), (0, 0, -1)]
+    cones = [[i, (i + 1) % 6, apex] for i in range(6) for apex in (6, 7)]
+    return 3, rays, cones
+
+
+def lp_verdict(dim, rays, cones):
+    """The LP path: pairwise intersections, then the ridge-pairing test."""
+    cones = [Cone(tuple(sorted(c))) for c in cones]
+    if not all(_pairwise_intersection_ok(dim, rays, a, b) for a, b in combinations(cones, 2)):
+        return False
+    return is_complete(validate_fan(dim, rays, [c.ray_indices for c in cones]))
+
+
+def certificate(dim, rays, cones):
+    return _complete_certificate(dim, rays, sorted(Cone(tuple(sorted(c))) for c in cones))
+
+
+def _random_surfaces():
+    rng = random.Random(321)
+    return [random_complete_surface(rng, extra_rays=rng.randint(0, 5)) for _ in range(30)]
+
+
+def _data(fan):
+    return fan.dim, fan.ray_vectors(), [list(c.ray_indices) for c in fan.max_cones]
+
+
+class TestCompleteCertificate:
+    """The integer certificate against the pairwise-LP path it short-cuts."""
+
+    def test_random_surfaces_and_truncations(self):
+        for fan in _random_surfaces():
+            dim, rays, cones = _data(fan)
+            assert certificate(dim, rays, cones) is lp_verdict(dim, rays, cones) is True
+            for drop in range(len(cones)):
+                rest = cones[:drop] + cones[drop + 1 :]
+                assert certificate(dim, rays, rest) is lp_verdict(dim, rays, rest) is False
+
+    @pytest.mark.parametrize("spec", sorted(RADIANT_FIXTURES.values()))
+    def test_radiant_fixtures(self, spec):
+        data = _data(family(spec))
+        assert certificate(*data) is lp_verdict(*data) is True
+
+    @pytest.mark.parametrize(
+        "factors", [[P1] * 3, [P2, P1], [DP6]], ids=["P1^3", "P2xP1", "dP6"]
+    )
+    def test_products_and_del_pezzo(self, factors):
+        data = product_data(factors)
+        assert certificate(*data) is lp_verdict(*data) is True
+
+    @pytest.mark.parametrize(
+        "data, error, message",
+        [
+            (
+                (2, DOUBLE_WRAP_RAYS, DOUBLE_WRAP_CONES),
+                FanConditionViolated,
+                "cones (0, 1) and (2, 3) overlap beyond a common face",
+            ),
+            (
+                suspended_double_wrap(),
+                FanConditionViolated,
+                "cones (0, 1, 6) and (2, 3, 6) overlap beyond a common face",
+            ),
+            (
+                (2, HIRZ2_RAYS, HIRZ2_CONES[1:]),
+                NotComplete,
+                "the fan does not cover the ambient space",
+            ),
+            (
+                # P2 with (-1, -1) replaced by (1, 1): the ridge through
+                # (0, 1) has both neighbouring rays, (1, 0) and (1, 1), on one side
+                (2, [(1, 0), (0, 1), (1, 1)], P2[2]),
+                FanConditionViolated,
+                "cones (0, 1) and (0, 2) overlap beyond a common face",
+            ),
+            (
+                # turns +90, -27, +162, +135 degrees: winds once, so q is
+                # covered once, but the ridges through (0, 1) and (1, 2) fold
+                (2, [(1, 0), (0, 1), (1, 2), (-1, -1)], HIRZ2_CONES),
+                FanConditionViolated,
+                "cones (0, 1) and (1, 2) overlap beyond a common face",
+            ),
+        ],
+        ids=["double-wrap", "suspended-double-wrap", "cone-removed", "p2-folded", "folded-cycle"],
+    )
+    def test_rejected_fans_keep_lp_errors(self, data, error, message):
+        assert certificate(*data) is False
+        with pytest.raises(error) as info:
+            validate_fan(*data, require_complete=True)
+        assert str(info.value) == message
+
+
+class TestNoLpForCompleteFans:
+    """Validating a complete fan solves no LP; a rejected one still does."""
+
+    @pytest.mark.parametrize(
+        "factors, num_cones", [([P1] * 7, 2**7), ([DP6] * 3, 6**3)], ids=["P1^7", "dP6^3"]
+    )
+    def test_valid_complete_fan_calls_feasible_zero_times(self, monkeypatch, factors, num_cones):
+        # raising on the first call fails fast: the LP path takes minutes on dP6^3
+        def forbidden(system):
+            raise AssertionError("feasible was called")
+
+        monkeypatch.setattr(fan_module, "feasible", forbidden)
+        fan = validate_fan(*product_data(factors), require_complete=True)
+        assert len(fan.max_cones) == num_cones
+
+    def test_double_wrap_reaches_lp_fallback(self, monkeypatch):
+        calls = []
+
+        def counting(system):
+            calls.append(system)
+            return feasible(system)
+
+        monkeypatch.setattr(fan_module, "feasible", counting)
+        with pytest.raises(FanConditionViolated):
+            validate_fan(2, DOUBLE_WRAP_RAYS, DOUBLE_WRAP_CONES, require_complete=True)
+        assert calls

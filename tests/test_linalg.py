@@ -12,6 +12,7 @@ from unifan.linalg import (
     NotUnimodular,
     Unbounded,
     feasible,
+    int_det,
     invert_unimodular,
     lattice_points,
     q_independent,
@@ -108,6 +109,26 @@ class TestInvertUnimodular:
                 continue
             count += 1
             assert invert_unimodular(b) @ b == IntMat.identity(n)
+
+
+class TestIntDet:
+    def test_matches_sympy_on_random_matrices(self):
+        rng = random.Random(2024)
+        for _ in range(200):
+            n = rng.randint(1, 6)
+            rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            if rng.random() < 0.2:
+                rows[rng.randrange(n)] = list(rows[rng.randrange(n)])  # often singular
+            assert int_det(rows) == sympy.Matrix(rows).det()
+
+    def test_zero_leading_pivot(self):
+        assert int_det([[0, 1], [1, 0]]) == -1
+        assert int_det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+
+    def test_empty_and_non_square(self):
+        assert int_det([]) == 1
+        with pytest.raises(ValueError):
+            int_det([[1, 2]])
 
 
 class TestQIndependent:
