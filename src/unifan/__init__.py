@@ -1,73 +1,11 @@
 """Finite-orbit analysis for maximal unipotent automorphism group actions
-on complete simplicial toric varieties, via exact fan combinatorics."""
+on complete simplicial toric varieties, via exact fan combinatorics.
+
+The package exports the two entry points of the documented API; every other
+name is imported from its module (`unifan.orbits`, `unifan.families`, ...).
+"""
 
 __version__ = "0.1.0"
 
-from .classgroup import ClassGroupInfo, ClassTable, class_group, radiant_classes
-from .coxspace import (
-    CoxPoint,
-    apply_root,
-    apply_torus,
-    in_stratum,
-    make_point,
-    random_stratum_point,
-    t_orbit_of,
-)
-from .demazure import (
-    DemazureRoot,
-    PrecedenceRelation,
-    UnipotentChoice,
-    choose_v,
-    compute_precedence,
-    enumerate_roots,
-    mark_membership,
-)
-from .families import (
-    CheckReport,
-    FamilySpec,
-    InvalidSpec,
-    NotApplicable,
-    build,
-    cross_check,
-    parse_family,
-)
-from .fan import (
-    Cone,
-    DuplicateRay,
-    Fan,
-    FanConditionViolated,
-    FanError,
-    NonPrimitiveRay,
-    NonSimplicialCone,
-    NotComplete,
-    Ray,
-    cones_with_rayset,
-    is_complete,
-    validate_fan,
-)
-from .linalg import (
-    DegenerateGenerator,
-    IntMat,
-    LinearSystem,
-    NotUnimodular,
-    Unbounded,
-    invert_unimodular,
-    lattice_points,
-    q_independent,
-    smith_normal_form,
-    solve_nonneg,
-)
-from .monoid import ClassMonoid, contains, gamma_of_rayset, irreducibles, is_free
-from .orbits import (
-    BasicSubset,
-    NotFinite,
-    OrbitRecord,
-    Verdict,
-    enumerate_basic_subsets,
-    finiteness_verdict,
-    in_x_hat,
-    minimal_basic,
-    orbit_catalog,
-)
-from .pipeline import FanAnalysis, analyze_fan
-from .radiance import BilateralStructure, find_bilateral, iter_bilateral_structures
+from .fan import validate_fan
+from .pipeline import analyze_fan

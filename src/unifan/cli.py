@@ -10,13 +10,18 @@ import sys
 from . import __version__
 from .coxspace import apply_root, apply_torus, random_rational, random_stratum_point
 from .families import InvalidSpec, NotApplicable, build, cross_check, parse_family
-from .fan import Fan, FanError, is_complete, validate_fan
+from .fan import Fan, FanError, validate_fan
+from .orbits import InvariantViolation
 from .pipeline import FanAnalysis, analyze_fan
 
 _JSON_SAFE = 2**53 - 1
 
 
 class FanFileError(Exception):
+    pass
+
+
+class UsageError(Exception):
     pass
 
 
@@ -126,7 +131,8 @@ def build_report(analysis: FanAnalysis, include_orbits, include_roots, check, se
         "fan": {
             **fan_file_payload(fan),
             "num_cones": len(fan.all_cones),
-            "complete": is_complete(fan),
+            # Both input paths of `cmd_analyze` proved the fan complete.
+            "complete": True,
             "simplicial": True,
         },
         "class_group": {
@@ -283,17 +289,9 @@ def _emit_error(exc: Exception) -> int:
 
 def cmd_analyze(args) -> int:
     if bool(args.path) == bool(args.family):
-        print(
-            json.dumps(
-                {
-                    "error": {
-                        "kind": "UsageError",
-                        "message": "provide exactly one of a fan file path or --family",
-                    }
-                }
-            )
+        return _emit_error(
+            UsageError("provide exactly one of a fan file path or --family")
         )
-        return 2
     try:
         if args.family:
             fan = build(parse_family(args.family))
@@ -302,7 +300,10 @@ def cmd_analyze(args) -> int:
             fan = validate_fan(dim, rays, max_cones, require_complete=True)
     except (FanFileError, FanError, InvalidSpec, ValueError) as exc:
         return _emit_error(exc)
-    analysis = analyze_fan(fan)
+    try:
+        analysis = analyze_fan(fan)
+    except InvariantViolation as exc:
+        return _emit_error(exc)
     report = build_report(
         analysis,
         include_orbits=args.orbits,

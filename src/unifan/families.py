@@ -72,16 +72,15 @@ def build(spec: FamilySpec) -> Fan:
     if spec.kind == "hirzebruch":
         if spec.parameter < 0:
             raise InvalidSpec("hirzebruch parameter must be >= 0")
-        rays = [(1, 0), (0, 1), (-1, -spec.parameter), (0, -1)]
-        return validate_fan(
-            2, rays, [[0, 1], [1, 2], [2, 3], [3, 0]], require_complete=True
-        )
+        return _build_hirzebruch(spec.parameter)
     if spec.kind == "p1xp1":
-        rays = [(1, 0), (0, 1), (-1, 0), (0, -1)]
-        return validate_fan(
-            2, rays, [[0, 1], [1, 2], [2, 3], [3, 0]], require_complete=True
-        )
+        return _build_hirzebruch(0)
     raise InvalidSpec(f"unknown family kind {spec.kind!r}")
+
+
+def _build_hirzebruch(a: int) -> Fan:
+    rays = [(1, 0), (0, 1), (-1, -a), (0, -1)]
+    return validate_fan(2, rays, [[0, 1], [1, 2], [2, 3], [3, 0]], require_complete=True)
 
 
 def _build_weighted_projective(weights: tuple[int, ...]) -> Fan:

@@ -216,54 +216,50 @@ def invert_unimodular(b: IntMat) -> IntMat:
     return v @ u
 
 
-def int_det(rows) -> int:
-    """Determinant of a square integer matrix by Bareiss elimination.
+def _bareiss(rows) -> tuple[int, int]:
+    """Fraction-free forward elimination (Bareiss, Math. Comp. 22, 1968).
 
-    Fraction-free: every intermediate entry is an integer minor, and each
-    division below is exact (Bareiss, Math. Comp. 22, 1968).
+    Columns without a pivot are skipped. Every intermediate entry is an
+    integer minor, so each division below is exact. Returns the rank and the
+    last pivot, signed by the row swaps: for a square nonsingular matrix
+    that is the determinant.
     """
     m = [list(row) for row in rows]
     n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix is not square")
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+    cols = len(m[0]) if m else 0
+    rank, sign, prev = 0, 1, 1
+    for j in range(cols):
+        if m[rank][j] == 0:
+            pivot = next((i for i in range(rank + 1, n) if m[i][j] != 0), None)
             if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
+                continue
+            m[rank], m[pivot] = m[pivot], m[rank]
             sign = -sign
-        pk, rk = m[k][k], m[k]
-        for i in range(k + 1, n):
-            ri, lead = m[i], m[i][k]
-            for j in range(k + 1, n):
-                ri[j] = (ri[j] * pk - lead * rk[j]) // prev
+        rk = m[rank]
+        pk = rk[j]
+        rank += 1
+        if rank == n:
+            return rank, sign * pk
+        for ri in m[rank:]:
+            lead = ri[j]
+            for c in range(j + 1, cols):
+                ri[c] = (ri[c] * pk - lead * rk[c]) // prev
         prev = pk
-    return sign * m[n - 1][n - 1] if n else 1
+    return rank, sign * prev
+
+
+def int_det(rows) -> int:
+    """Determinant of a square integer matrix, without fractions."""
+    rows = list(rows)
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("matrix is not square")
+    rank, pivot = _bareiss(rows)
+    return pivot if rank == len(rows) else 0
 
 
 def rational_rank(vectors) -> int:
     """Rank over the rationals of a list of integer vectors."""
-    rows = [[Fraction(x) for x in vec] for vec in vectors]
-    if not rows:
-        return 0
-    cols = len(rows[0])
-    rank = 0
-    for j in range(cols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][j] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][j] != 0:
-                c = rows[i][j] / pr[j]
-                rows[i] = [x - c * y for x, y in zip(rows[i], pr)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    return _bareiss(vectors)[0]
 
 
 def q_independent(vectors) -> bool:

@@ -1,4 +1,4 @@
-"""Basic subsets, their hat sets, the finite-orbit verdict, and the orbit
+"""Basic subsets, their hat sets, the non-free witness, and the orbit
 catalog with its torus-orbit decomposition."""
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from .linalg import IntVec, q_independent, solve_nonneg
 from .monoid import ClassMonoid, gamma_of_rayset, irreducibles, is_free
 
 
-class NotFinite(Exception):
-    """Orbit catalog requested for a fan whose verdict is not finite."""
+class InvariantViolation(Exception):
+    """A mathematical invariant of the analysis failed: a bug, not bad input."""
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,8 @@ def enumerate_basic_subsets(
     out = []
     for rays in found:
         hat = _hat_of(classes, precedence, rays)
-        assert not set(rays) & set(hat)
+        if set(rays) & set(hat):
+            raise InvariantViolation(f"basic subset {rays} meets its hat set {hat}")
         out.append(
             BasicSubset(
                 rays=rays,
@@ -178,23 +179,8 @@ def build_catalog(fan: Fan, basics, negative_rays) -> list[OrbitRecord]:
         )
     records.sort(key=lambda r: (-r.dimension, r.basic.rays))
     open_records = [r for r in records if not r.basic.hat]
-    assert len(open_records) == 1
-    assert open_records[0].basic.rays == tuple(sorted(negative_rays))
+    if len(open_records) != 1:
+        raise InvariantViolation(f"{len(open_records)} open orbits, expected one")
+    if open_records[0].basic.rays != tuple(sorted(negative_rays)):
+        raise InvariantViolation("the open orbit is not the negative-ray stratum")
     return records
-
-
-def finiteness_verdict(fan: Fan, bilateral=None) -> Verdict:
-    """Decide whether a maximal unipotent subgroup has finitely many orbits."""
-    from .pipeline import analyze_fan
-
-    return analyze_fan(fan, bilateral=bilateral).verdict
-
-
-def orbit_catalog(fan: Fan) -> list[OrbitRecord]:
-    """The orbit records of a finite-verdict fan; raises NotFinite otherwise."""
-    from .pipeline import analyze_fan
-
-    analysis = analyze_fan(fan)
-    if not analysis.verdict.finite:
-        raise NotFinite(f"verdict is infinite ({analysis.verdict.reason})")
-    return analysis.catalog

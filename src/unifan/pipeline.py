@@ -1,4 +1,5 @@
-"""End-to-end analysis of a validated complete simplicial fan."""
+"""End-to-end analysis of a validated complete simplicial fan: the verdict
+and, when it is finite, the orbit catalog."""
 
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from .demazure import (
 from .fan import Fan
 from .orbits import (
     BasicSubset,
+    InvariantViolation,
     OrbitRecord,
     Verdict,
     build_catalog,
@@ -25,6 +27,10 @@ from .orbits import (
     with_membership,
 )
 from .radiance import BilateralStructure, find_bilateral
+
+
+class NotFinite(Exception):
+    """Orbit catalog requested for a fan whose verdict is not finite."""
 
 
 @dataclass(frozen=True)
@@ -46,59 +52,41 @@ def analyze_fan(fan: Fan, bilateral: BilateralStructure | None = None) -> FanAna
 
     An explicit bilateral structure can be supplied to exercise a witness
     other than the first one found; the verdict must not depend on it.
+    Each stage fills its own fields; those of stages that never ran stay None.
     """
     class_info = class_group(fan)
     roots = enumerate_roots(fan)
     if bilateral is None:
         bilateral = find_bilateral(fan)
+    classes = choice = precedence = basics = catalog = None
     if bilateral is None:
-        return FanAnalysis(
-            fan=fan,
-            class_info=class_info,
-            roots=roots,
-            bilateral=None,
-            classes=None,
-            choice=None,
-            precedence=None,
-            basics=None,
-            verdict=Verdict(finite=False, reason="not_radiant"),
-            catalog=None,
-        )
-
-    classes = radiant_classes(fan, bilateral)
-    choice = choose_v(fan, bilateral, roots)
-    roots = mark_membership(roots, choice)
-    precedence = compute_precedence(bilateral, classes)
-    basics = with_membership(
-        fan, enumerate_basic_subsets(classes, precedence)
-    )
-
-    witness = non_free_witness(fan, classes)
-    if witness is not None:
-        cone, irr = witness
-        return FanAnalysis(
-            fan=fan,
-            class_info=class_info,
-            roots=roots,
-            bilateral=bilateral,
-            classes=classes,
-            choice=choice,
-            precedence=precedence,
-            basics=basics,
-            verdict=Verdict(
+        verdict = Verdict(finite=False, reason="not_radiant")
+    else:
+        classes = radiant_classes(fan, bilateral)
+        choice = choose_v(fan, bilateral, roots)
+        roots = mark_membership(roots, choice)
+        precedence = compute_precedence(bilateral, classes)
+        basics = with_membership(fan, enumerate_basic_subsets(classes, precedence))
+        witness = non_free_witness(fan, classes)
+        if witness is not None:
+            cone, irr = witness
+            verdict = Verdict(
                 finite=False,
                 reason="non_free_monoid",
                 witness_cone=cone,
                 witness_irreducibles=irr,
-            ),
-            catalog=None,
-        )
-
-    qualifying = [b for b in basics if b.in_x_hat]
-    # Every stratum inside the quotient domain must be a single orbit here;
-    # a dependent class set would contradict the freeness just verified.
-    assert all(b.classes_independent for b in qualifying)
-    catalog = build_catalog(fan, basics, classes.negative)
+            )
+        else:
+            qualifying = [b for b in basics if b.in_x_hat]
+            # Every stratum inside the quotient domain must be a single orbit
+            # here; a dependent class set would contradict the freeness just
+            # verified.
+            if not all(b.classes_independent for b in qualifying):
+                raise InvariantViolation(
+                    "a basic subset in the quotient domain has dependent classes"
+                )
+            catalog = build_catalog(fan, basics, classes.negative)
+            verdict = Verdict(finite=True, orbit_count=len(qualifying))
     return FanAnalysis(
         fan=fan,
         class_info=class_info,
@@ -108,6 +96,19 @@ def analyze_fan(fan: Fan, bilateral: BilateralStructure | None = None) -> FanAna
         choice=choice,
         precedence=precedence,
         basics=basics,
-        verdict=Verdict(finite=True, orbit_count=len(qualifying)),
+        verdict=verdict,
         catalog=catalog,
     )
+
+
+def finiteness_verdict(fan: Fan, bilateral=None) -> Verdict:
+    """Decide whether a maximal unipotent subgroup has finitely many orbits."""
+    return analyze_fan(fan, bilateral=bilateral).verdict
+
+
+def orbit_catalog(fan: Fan) -> list[OrbitRecord]:
+    """The orbit records of a finite-verdict fan; raises NotFinite otherwise."""
+    analysis = analyze_fan(fan)
+    if not analysis.verdict.finite:
+        raise NotFinite(f"verdict is infinite ({analysis.verdict.reason})")
+    return analysis.catalog

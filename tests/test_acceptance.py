@@ -9,8 +9,8 @@ from unifan.coxspace import apply_root, random_rational, random_stratum_point
 from unifan.demazure import compute_precedence
 from unifan.families import FamilySpec, InvalidSpec, build, cross_check
 from unifan.linalg import rational_rank
-from unifan.orbits import enumerate_basic_subsets, finiteness_verdict
-from unifan.pipeline import analyze_fan
+from unifan.orbits import enumerate_basic_subsets
+from unifan.pipeline import analyze_fan, finiteness_verdict
 from unifan.radiance import find_bilateral, iter_bilateral_structures
 
 from conftest import del_pezzo6, family, negative_surface

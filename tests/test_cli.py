@@ -88,10 +88,24 @@ class TestAnalyze:
         assert json.loads(out) == {"error": {"kind": "FanFileError", "message": message}}
 
     def test_requires_exactly_one_source(self, capsys):
+        expected = (
+            '{"error": {"kind": "UsageError", '
+            '"message": "provide exactly one of a fan file path or --family"}}\n'
+        )
         code, out = run(capsys, "analyze")
         assert code == 2
+        assert out == expected
         code, out = run(capsys, "analyze", "x.json", "--family", "p1xp1")
         assert code == 2
+        assert out == expected
+
+    def test_invariant_violation_is_an_error_object(self, capsys, monkeypatch):
+        monkeypatch.setattr("unifan.orbits.q_independent", lambda vectors: False)
+        code, out = run(capsys, "analyze", "--family", "pn:2", "--format", "json")
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["kind"] == "InvariantViolation"
+        assert "dependent classes" in error["message"]
 
     def test_roots_listing(self, capsys):
         code, out = run(

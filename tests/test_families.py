@@ -9,8 +9,7 @@ from unifan.families import (
     parse_family,
 )
 from unifan.fan import is_complete, validate_fan
-from unifan.orbits import finiteness_verdict
-from unifan.pipeline import analyze_fan
+from unifan.pipeline import analyze_fan, finiteness_verdict
 from unifan.radiance import find_bilateral
 
 from conftest import del_pezzo6, family, negative_surface
@@ -38,6 +37,9 @@ class TestParseFamily:
 
 
 class TestBuild:
+    def test_p1xp1_is_hirzebruch_0(self):
+        assert build(parse_family("p1xp1")) == build(parse_family("hirzebruch:0"))
+
     def test_hirzebruch_2_ray_layout(self):
         fan = family("hirzebruch:2")
         assert fan.ray_vectors() == [(1, 0), (0, 1), (-1, -2), (0, -1)]

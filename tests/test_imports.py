@@ -1,0 +1,52 @@
+"""Static checks on the package's import structure."""
+
+import ast
+import graphlib
+from pathlib import Path
+
+import pytest
+
+import unifan
+
+PACKAGE = Path(unifan.__file__).parent
+MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_no_import_inside_a_function(name):
+    for node in ast.walk(MODULES[name]):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            nested = [n for n in ast.walk(node) if isinstance(n, (ast.Import, ast.ImportFrom))]
+            assert not nested, f"{name}.{node.name} imports at line {nested[0].lineno}"
+
+
+def test_intra_package_imports_are_acyclic():
+    graph = {name: set() for name in MODULES}
+    for name, tree in MODULES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module is not None:
+                    graph[name].add(node.module)
+                else:  # `from . import x`: a submodule or a name of __init__
+                    graph[name].update(
+                        a.name if a.name in MODULES else "__init__" for a in node.names
+                    )
+    try:
+        list(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as exc:
+        pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_no_assert_statements(name):
+    """Invariants raise InvariantViolation, so they also hold under `python -O`."""
+    asserts = [n.lineno for n in ast.walk(MODULES[name]) if isinstance(n, ast.Assert)]
+    assert not asserts, f"{name} asserts at lines {asserts}"
+
+
+def test_package_exports_only_the_documented_api():
+    public = {name for name in vars(unifan) if not name.startswith("_")}
+    # Importing the entry points also binds the submodules they load.
+    public -= {name for name in public if name in MODULES}
+    assert public == {"validate_fan", "analyze_fan"}
+    assert unifan.__version__

@@ -16,6 +16,7 @@ from unifan.linalg import (
     invert_unimodular,
     lattice_points,
     q_independent,
+    rational_rank,
     smith_normal_form,
     solve_nonneg,
 )
@@ -129,6 +130,33 @@ class TestIntDet:
         assert int_det([]) == 1
         with pytest.raises(ValueError):
             int_det([[1, 2]])
+
+
+class TestRationalRank:
+    def test_matches_sympy_on_random_matrices(self):
+        rng = random.Random(2025)
+        for _ in range(300):
+            rows_n, cols_n = rng.randint(1, 7), rng.randint(1, 7)  # tall, square and wide
+            rows = [
+                [rng.randint(-4, 4) if rng.random() < 0.7 else 0 for _ in range(cols_n)]
+                for _ in range(rows_n)
+            ]
+            if rows_n > 1 and rng.random() < 0.4:
+                a, b = rng.sample(range(rows_n), 2)
+                c = rng.randint(-3, 3)
+                rows[a] = [c * x + y for x, y in zip(rows[b], rows[a - 1])]  # rank-deficient
+            assert rational_rank(rows) == sympy.Matrix(rows).rank()
+
+    def test_skips_columns_without_pivot(self):
+        assert rational_rank([[0, 2, 4], [0, 1, 2], [0, 0, 3]]) == 2
+        assert rational_rank([[0, 0], [0, 0]]) == 0
+
+    def test_tall_and_wide(self):
+        assert rational_rank([[1, 2], [2, 4], [3, 6], [0, 1]]) == 2
+        assert rational_rank([[1, 0, 0, 7], [0, 1, 0, 7]]) == 2
+
+    def test_empty(self):
+        assert rational_rank([]) == 0
 
 
 class TestQIndependent:

@@ -1,21 +1,18 @@
+import os
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
+
+import unifan
 
 from unifan.classgroup import radiant_classes
 from unifan.demazure import compute_precedence
 from unifan.linalg import q_independent, rational_rank
 from unifan.monoid import gamma_of_rayset
-from unifan.orbits import (
-    NotFinite,
-    enumerate_basic_subsets,
-    finiteness_verdict,
-    in_x_hat,
-    minimal_basic,
-    orbit_catalog,
-    with_membership,
-)
-from unifan.pipeline import analyze_fan
+from unifan.orbits import enumerate_basic_subsets, in_x_hat, minimal_basic, with_membership
+from unifan.pipeline import NotFinite, analyze_fan, finiteness_verdict, orbit_catalog
 from unifan.radiance import find_bilateral, iter_bilateral_structures
 
 from conftest import RADIANT_FIXTURES, family, negative_surface
@@ -293,3 +290,28 @@ class TestCatalogConsistency:
         records = orbit_catalog(family(spec))
         keys = [(-r.dimension, r.basic.rays) for r in records]
         assert keys == sorted(keys)
+
+
+class TestInvariants:
+    def test_invariant_survives_optimized_mode(self):
+        """Under `python -O` asserts vanish; the invariant checks must not."""
+        script = (
+            "import unifan.orbits\n"
+            "from unifan.families import build, parse_family\n"
+            "from unifan.orbits import InvariantViolation\n"
+            "from unifan.pipeline import analyze_fan\n"
+            "if __debug__:\n"
+            "    raise SystemExit(3)\n"
+            "unifan.orbits.q_independent = lambda vectors: False\n"
+            "try:\n"
+            "    analyze_fan(build(parse_family('pn:2')))\n"
+            "except InvariantViolation:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n"
+        )
+        src = os.path.dirname(os.path.dirname(unifan.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
