@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fan import Fan
-from .linalg import IntMat, IntVec, smith_normal_form
+from .linalg import IntMat, IntVec, InvariantViolation, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ def radiant_classes(fan: Fan, bilateral) -> ClassTable:
         row = dual.row(i)
         cls = tuple(-sum(a * b for a, b in zip(row, nj)) for nj in negative_vectors)
         if any(x < 0 for x in cls):
-            raise AssertionError(f"class of ray {eps} has a negative entry: {cls}")
+            raise InvariantViolation(f"class of ray {eps} has a negative entry: {cls}")
         classes[eps] = cls
 
     # Exactness check: the pairing of any character with the ray vectors is
@@ -78,7 +78,7 @@ def radiant_classes(fan: Fan, bilateral) -> ClassTable:
             for t in range(k):
                 total[t] += pairing * classes[ray.index][t]
         if any(total):
-            raise AssertionError("ray classes do not satisfy the defining relations")
+            raise InvariantViolation("ray classes do not satisfy the defining relations")
 
     return ClassTable(
         k=k,

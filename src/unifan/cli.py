@@ -11,7 +11,7 @@ from . import __version__
 from .coxspace import apply_root, apply_torus, random_rational, random_stratum_point
 from .families import InvalidSpec, NotApplicable, build, cross_check, parse_family
 from .fan import Fan, FanError, validate_fan
-from .orbits import InvariantViolation
+from .linalg import InvariantViolation
 from .pipeline import FanAnalysis, analyze_fan
 
 _JSON_SAFE = 2**53 - 1

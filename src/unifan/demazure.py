@@ -8,7 +8,7 @@ from itertools import count
 
 from .classgroup import ClassTable
 from .fan import Fan
-from .linalg import IntVec, LinearSystem, lattice_points
+from .linalg import IntVec, InvariantViolation, LinearSystem, lattice_points
 from .radiance import BilateralStructure
 
 
@@ -100,7 +100,7 @@ def choose_v(fan: Fan, bilateral: BilateralStructure, roots) -> UnipotentChoice:
         )
         if all(_dot(r.e, v) != 0 for r in semisimple):
             return UnipotentChoice(v=v, basis_coordinates=coords)
-    raise AssertionError("unreachable")
+    raise InvariantViolation("unreachable")
 
 
 def mark_membership(roots, choice: UnipotentChoice) -> list[DemazureRoot]:

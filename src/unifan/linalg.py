@@ -10,6 +10,7 @@ enumeration backed by exact Fourier-Motzkin elimination.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -27,6 +28,10 @@ class DegenerateGenerator(Exception):
 
 class Unbounded(Exception):
     """The solution set of a linear system is unbounded in some coordinate."""
+
+
+class InvariantViolation(Exception):
+    """A mathematical invariant of the analysis failed: a bug, not bad input."""
 
 
 def _gcd_many(values) -> int:
@@ -276,9 +281,15 @@ def q_independent(vectors) -> bool:
 def solve_nonneg(target, gens) -> IntVec | None:
     """Nonnegative integer coefficients a with sum(a_i * gens_i) = target.
 
-    Searches depth-first over generators in input order, bounding each
-    coefficient by min over coordinates j with g_j > 0 of target_j // g_j,
-    and returns the lexicographically first solution, or None.
+    Returns the lexicographically first solution, or None. A unit generator
+    e_j absorbs any amount of coordinate j, so the suffix gens[t:] spans a
+    residual iff some combination of its non-unit generators leaves a
+    residual supported on the unit coordinates of that suffix. Only the
+    non-unit generators are searched, depth-first with each coefficient
+    bounded by min over j with g_j > 0 of residual_j // g_j, and failed
+    states are remembered for the length of the call. The solution is then
+    built greedily: each coefficient is the smallest whose remainder the
+    rest of the list still spans.
     """
     target = tuple(int(x) for x in target)
     gens = [tuple(int(x) for x in g) for g in gens]
@@ -288,25 +299,59 @@ def solve_nonneg(target, gens) -> IntVec | None:
         if all(x == 0 for x in g):
             raise DegenerateGenerator("zero vector among generators")
 
+    def mask(vec) -> int:
+        return sum(1 << j for j, x in enumerate(vec) if x)
+
+    # Bit masks of coordinates: absorbed[t] by the unit generators of
+    # gens[t:], reach[p] by the non-unit generators nonunit[p:].
+    nonunit = [t for t, g in enumerate(gens) if sum(g) != 1]
+    absorbed = [0] * (len(gens) + 1)
+    for t in range(len(gens) - 1, -1, -1):
+        absorbed[t] = absorbed[t + 1] | (mask(gens[t]) if sum(gens[t]) == 1 else 0)
+    reach = [0] * (len(nonunit) + 1)
+    for p in range(len(nonunit) - 1, -1, -1):
+        reach[p] = reach[p + 1] | mask(gens[nonunit[p]])
+
     def bound(g, residual):
         return min(residual[j] // g[j] for j in range(len(g)) if g[j] > 0)
 
-    def descend(idx, residual, prefix):
-        if all(x == 0 for x in residual):
-            return prefix + (0,) * (len(gens) - idx)
-        if idx == len(gens):
-            return None
-        g = gens[idx]
-        for a in range(bound(g, residual) + 1):
-            rem = tuple(r - a * x for r, x in zip(residual, g))
-            if any(x < 0 for x in rem):
-                break
-            found = descend(idx + 1, rem, prefix + (a,))
-            if found is not None:
-                return found
-        return None
+    def minus(residual, a, g):
+        return tuple(r - a * x for r, x in zip(residual, g))
 
-    return descend(0, target, ())
+    failed = set()
+
+    def search(units, p, residual) -> bool:
+        """Whether nonunit[p:] can leave a residual that `units` absorb."""
+        support = mask(residual)
+        if not support & ~units:
+            return True
+        if support & ~(units | reach[p]):
+            return False
+        key = (units, p, residual)
+        if key in failed:
+            return False
+        g = gens[nonunit[p]]
+        for a in range(bound(g, residual) + 1):
+            if search(units, p + 1, minus(residual, a, g)):
+                return True
+        failed.add(key)
+        return False
+
+    def spans(t, residual) -> bool:
+        return search(absorbed[t], bisect_left(nonunit, t), residual)
+
+    if not spans(0, target):
+        return None
+    coeffs = []
+    residual = target
+    for t, g in enumerate(gens):
+        # gens[t:] spans the residual, so some a within the bound breaks.
+        for a in range(bound(g, residual) + 1):
+            if spans(t + 1, minus(residual, a, g)):
+                break
+        coeffs.append(a)
+        residual = minus(residual, a, g)
+    return tuple(coeffs)
 
 
 @dataclass(frozen=True)
@@ -467,7 +512,7 @@ def _functional_range(ineqs, num_free, coeffs, const):
             val = Fraction(b, a)
             hi = val if hi is None else min(hi, val)
         elif b > 0:
-            raise AssertionError("projection of a nonempty polyhedron is inconsistent")
+            raise InvariantViolation("projection of a nonempty polyhedron is inconsistent")
     return lo, hi
 
 

@@ -39,38 +39,44 @@ def gamma_of_rayset(classes: ClassTable, ray_indices) -> ClassMonoid:
     )
 
 
+def in_span(vector: IntVec, gens) -> bool:
+    """Whether a nonnegative vector is a nonnegative integer combination of
+    the nonzero generators.
+
+    The trivial cases need no search: zero and the generators themselves are
+    members, and a unit vector that is not a generator is not, since it is
+    no sum of nonzero nonnegative vectors other than itself. Membership is
+    unit-absorbing: `solve_nonneg` searches only the non-unit generators.
+    """
+    if not any(vector) or vector in gens:
+        return True
+    if sum(vector) == 1 or not gens:
+        return False
+    return solve_nonneg(vector, gens) is not None
+
+
 def contains(monoid: ClassMonoid, vector) -> bool:
     """Monoid membership; the zero vector always belongs."""
     vector = tuple(int(x) for x in vector)
     if any(x < 0 for x in vector):
         raise ValueError("membership is only defined for nonnegative vectors")
-    if all(x == 0 for x in vector):
-        return True
-    if not monoid.generators:
-        return False
-    return solve_nonneg(vector, monoid.generators) is not None
+    return in_span(vector, monoid.generators)
 
 
 def irreducibles(monoid: ClassMonoid) -> list[IntVec]:
-    """Generators that are not sums of two or more generators.
+    """Generators that are not sums of two or more generators, in order.
 
-    A generator g is reducible exactly when g - h is a nonzero monoid
-    element for some generator h; finitely generated submonoids of the
-    nonnegative lattice decompose into their irreducibles.
+    A generator g is reducible iff g lies in the monoid of the generators
+    other than g, so each generator costs one membership query. Proof: the
+    generators are distinct nonzero vectors of the nonnegative lattice. If
+    g = h_1 + ... + h_m with m >= 2, then g - h_i is the nonzero sum of the
+    other terms, so h_i != g for every i. Conversely, a combination of
+    generators other than g that equals g has coefficients summing to at
+    least 1, as g is nonzero, and not exactly 1, as that would make a
+    generator other than g equal to g.
     """
-    out = []
-    for g in monoid.generators:
-        reducible = False
-        for h in monoid.generators:
-            rest = tuple(a - b for a, b in zip(g, h))
-            if any(x < 0 for x in rest) or all(x == 0 for x in rest):
-                continue
-            if contains(monoid, rest):
-                reducible = True
-                break
-        if not reducible:
-            out.append(g)
-    return out
+    gens = monoid.generators
+    return [g for g in gens if not in_span(g, [h for h in gens if h != g])]
 
 
 def is_free(monoid: ClassMonoid) -> bool:

@@ -8,12 +8,8 @@ from dataclasses import dataclass, replace
 from .classgroup import ClassTable
 from .demazure import PrecedenceRelation
 from .fan import Cone, Fan
-from .linalg import IntVec, q_independent, solve_nonneg
-from .monoid import ClassMonoid, gamma_of_rayset, irreducibles, is_free
-
-
-class InvariantViolation(Exception):
-    """A mathematical invariant of the analysis failed: a bug, not bad input."""
+from .linalg import IntVec, InvariantViolation, q_independent
+from .monoid import ClassMonoid, gamma_of_rayset, in_span, irreducibles, is_free
 
 
 @dataclass(frozen=True)
@@ -49,9 +45,7 @@ class Verdict:
 def _is_basic(classes: ClassTable, rays: tuple[int, ...]) -> bool:
     for rho in rays:
         others = [classes.class_of(r) for r in rays if r != rho]
-        if not others:
-            continue
-        if solve_nonneg(classes.class_of(rho), others) is not None:
+        if in_span(classes.class_of(rho), others):
             return False
     return True
 
@@ -63,11 +57,7 @@ def _hat_of(classes: ClassTable, precedence: PrecedenceRelation, rays) -> tuple[
     for rho in range(len(classes.classes)):
         if rho in member_set:
             continue
-        cls = classes.class_of(rho)
-        if gens:
-            outside = solve_nonneg(cls, gens) is None
-        else:
-            outside = any(x != 0 for x in cls)
+        outside = not in_span(classes.class_of(rho), gens)
         if outside or any(precedence.precedes(rho, member) for member in rays):
             hat.append(rho)
     return tuple(hat)
@@ -147,12 +137,20 @@ def minimal_basic(
 
 def non_free_witness(fan: Fan, classes: ClassTable):
     """First cone (by size, then lex) whose complement monoid is not free,
-    together with that monoid's irreducibles; None when all are free."""
+    together with that monoid's irreducibles; None when all are free.
+
+    Freeness depends only on the generator set, and many cones share one,
+    so each distinct set is tested once.
+    """
+    free: set[tuple[IntVec, ...]] = set()
     for cone in fan.all_cones:
         complement = [r for r in range(fan.num_rays) if r not in cone.ray_indices]
         monoid = gamma_of_rayset(classes, complement)
+        if monoid.generators in free:
+            continue
         if not is_free(monoid):
             return cone, tuple(irreducibles(monoid))
+        free.add(monoid.generators)
     return None
 
 

@@ -16,9 +16,9 @@ from .demazure import (
     mark_membership,
 )
 from .fan import Fan
+from .linalg import InvariantViolation
 from .orbits import (
     BasicSubset,
-    InvariantViolation,
     OrbitRecord,
     Verdict,
     build_catalog,

@@ -4,7 +4,6 @@ in the closed negative orthant."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator
 
 from .fan import Fan
@@ -27,10 +26,25 @@ class BilateralStructure:
 
 
 def iter_bilateral_structures(fan: Fan) -> Iterator[BilateralStructure]:
-    """Yield every bilateral structure, candidates in lexicographic index order."""
+    """Yield every bilateral structure of a complete fan, candidates in
+    lexicographic index order.
+
+    Only maximal cones are candidates: if p_1..p_n is a basis with every
+    other ray in the closed negative orthant, then cone(p_1..p_n) is a
+    maximal cone. Proof: w = p_1 + ... + p_n lies in some maximal cone
+    sigma, so w = sum of c_rho * rho over the rays of sigma with c_rho >= 0.
+    In the basis coordinates the i-th coordinate of w is 1, that of p_j is
+    0 for j != i, and that of every other ray is <= 0; hence p_i is a ray of
+    sigma with c_{p_i} >= 1. So sigma, which has n rays, is cone(p_1..p_n).
+    `fan.max_cones` is lex-sorted, so the sequence yielded is the one over
+    all n-subsets of the rays.
+    """
     n = fan.dim
     indices = range(fan.num_rays)
-    for combo in combinations(indices, n):
+    for cone in fan.max_cones:
+        combo = cone.ray_indices
+        if len(combo) != n:
+            continue
         basis = IntMat.from_rows([fan.ray_vector(i) for i in combo])
         try:
             dual = invert_unimodular(basis.transpose())

@@ -1,7 +1,13 @@
+import random
+from functools import cmp_to_key
+from itertools import product
+from math import gcd
+
 import pytest
 
 from unifan import validate_fan
 from unifan.families import build, parse_family
+from unifan.monoid import contains
 
 
 def family(spec: str):
@@ -17,6 +23,96 @@ RADIANT_FIXTURES = {
     "P112": "wps:1,1,2",
     "P1124": "wps:1,1,2,4",
 }
+
+
+# One spec per family member of the criterion-8 sweep, plus projective spaces.
+FAMILY_SPECS = (
+    [f"hirzebruch:{d}" for d in range(11)]
+    + ["p1xp1"]
+    + [f"pn:{n}" for n in range(1, 5)]
+    + [
+        "wps:1,1" + "".join(f",{t}" for t in tail)
+        for n in range(1, 5)
+        for tail in product(range(1, 7), repeat=n - 1)
+    ]
+)
+
+
+def _ccw_sorted(rays):
+    def half(v):
+        return 0 if v[1] > 0 or (v[1] == 0 and v[0] > 0) else 1
+
+    def compare(a, b):
+        if half(a) != half(b):
+            return half(a) - half(b)
+        cross = a[0] * b[1] - a[1] * b[0]
+        return -1 if cross > 0 else 1
+
+    return sorted(rays, key=cmp_to_key(compare))
+
+
+def random_complete_surface(rng, extra_rays=4, spread=5):
+    """Axis rays plus random primitive rays, fanned by angular order.
+
+    Consecutive gaps stay below a half turn because the four axis rays are
+    always present, so the construction is a valid complete simplicial fan.
+    """
+    rays = {(1, 0), (0, 1), (-1, 0), (0, -1)}
+    while len(rays) < 4 + extra_rays:
+        x, y = rng.randint(-spread, spread), rng.randint(-spread, spread)
+        if (x, y) == (0, 0):
+            continue
+        g = gcd(abs(x), abs(y))
+        rays.add((x // g, y // g))
+    ordered = _ccw_sorted(rays)
+    cones = [[i, (i + 1) % len(ordered)] for i in range(len(ordered))]
+    return validate_fan(2, ordered, cones, require_complete=True)
+
+
+def random_surfaces(count=30, seed=321):
+    """Seeded draws of `random_complete_surface` with 0 to 5 extra rays."""
+    rng = random.Random(seed)
+    return [random_complete_surface(rng, extra_rays=rng.randint(0, 5)) for _ in range(count)]
+
+
+def p1_power(k: int):
+    """The fan of (P^1)^k: rays +-e_i, one maximal cone per sign pattern."""
+    rays = [tuple(s if j == i else 0 for j in range(k)) for s in (1, -1) for i in range(k)]
+    cones = [[i + k * flip for i, flip in enumerate(flips)] for flips in product((0, 1), repeat=k)]
+    return validate_fan(k, rays, cones, require_complete=True)
+
+
+# The seed-0 draw "P3-radiant-blowup10-seed0-0" of the benchmark's blowups
+# workload: ten radiant star subdivisions of P3, 14 rays, class rank 11.
+P3_BLOWUP_RAYS = [
+    [1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1], [0, -1, 0], [0, 0, -1],
+    [0, -1, -2], [-1, -2, 0], [0, -2, -3], [-2, -3, 0], [-3, -4, 0],
+    [0, -2, -1], [-1, 0, -2], [-6, -8, -1],
+]
+P3_BLOWUP_CONES = [
+    [0, 1, 2], [0, 1, 5], [0, 2, 4], [0, 3, 8], [0, 3, 11], [0, 4, 11],
+    [0, 5, 6], [0, 6, 8], [1, 2, 3], [1, 3, 12], [1, 5, 12], [2, 3, 10],
+    [2, 4, 7], [2, 7, 9], [2, 9, 10], [3, 4, 7], [3, 4, 11], [3, 5, 6],
+    [3, 5, 12], [3, 6, 8], [3, 7, 9], [3, 9, 13], [3, 10, 13], [9, 10, 13],
+]
+
+
+def pairwise_irreducibles(monoid):
+    """Reference: g is reducible when g - h is a nonzero monoid element for
+    some generator h (one membership query per pair of generators)."""
+    out = []
+    for g in monoid.generators:
+        reducible = False
+        for h in monoid.generators:
+            rest = tuple(a - b for a, b in zip(g, h))
+            if any(x < 0 for x in rest) or all(x == 0 for x in rest):
+                continue
+            if contains(monoid, rest):
+                reducible = True
+                break
+        if not reducible:
+            out.append(g)
+    return out
 
 
 def del_pezzo6():

@@ -2,7 +2,8 @@ import pytest
 
 from unifan.classgroup import class_group, radiant_classes
 from unifan.fan import validate_fan
-from unifan.radiance import find_bilateral
+from unifan.linalg import IntMat, InvariantViolation
+from unifan.radiance import BilateralStructure, find_bilateral
 
 from conftest import RADIANT_FIXTURES, family
 
@@ -86,3 +87,22 @@ class TestRadiantClasses:
         fan = family(spec)
         table = radiant_classes(fan, find_bilateral(fan))
         assert all(x >= 0 for cls in table.classes for x in cls)
+
+
+class TestRadiantClassesInvariants:
+    """A structure that is not bilateral breaks the class table's invariants;
+    each break raises InvariantViolation, not AssertionError."""
+
+    def test_negative_entry(self, p2):
+        bogus = BilateralStructure(
+            positive=(0, 1), negative=(2,), dual_basis=IntMat.from_rows([[-1, 0], [0, -1]])
+        )
+        with pytest.raises(InvariantViolation, match="negative entry"):
+            radiant_classes(p2, bogus)
+
+    def test_defining_relations_fail(self, p2):
+        bogus = BilateralStructure(
+            positive=(0, 1), negative=(2,), dual_basis=IntMat.from_rows([[1, 1], [0, 1]])
+        )
+        with pytest.raises(InvariantViolation, match="defining relations"):
+            radiant_classes(p2, bogus)

@@ -5,6 +5,8 @@ import pytest
 
 from unifan.cli import main
 from unifan.fan import validate_fan
+from unifan.linalg import IntMat
+from unifan.radiance import BilateralStructure
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -106,6 +108,17 @@ class TestAnalyze:
         error = json.loads(out)["error"]
         assert error["kind"] == "InvariantViolation"
         assert "dependent classes" in error["message"]
+
+    def test_class_table_invariant_is_an_error_object(self, capsys, monkeypatch):
+        bogus = BilateralStructure(
+            positive=(0, 1), negative=(2,), dual_basis=IntMat.from_rows([[-1, 0], [0, -1]])
+        )
+        monkeypatch.setattr("unifan.pipeline.find_bilateral", lambda fan: bogus)
+        code, out = run(capsys, "analyze", "--family", "pn:2", "--format", "json")
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["kind"] == "InvariantViolation"
+        assert "negative entry" in error["message"]
 
     def test_roots_listing(self, capsys):
         code, out = run(

@@ -44,6 +44,23 @@ def test_no_assert_statements(name):
     assert not asserts, f"{name} asserts at lines {asserts}"
 
 
+def _raises_assertion_error(node) -> bool:
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_no_raise_assertion_error(name):
+    """Invariant failures raise InvariantViolation, which `analyze` reports as
+    an error object, not a bare AssertionError traceback."""
+    raises = [
+        n.lineno
+        for n in ast.walk(MODULES[name])
+        if isinstance(n, ast.Raise) and _raises_assertion_error(n)
+    ]
+    assert not raises, f"{name} raises AssertionError at lines {raises}"
+
+
 def test_package_exports_only_the_documented_api():
     public = {name for name in vars(unifan) if not name.startswith("_")}
     # Importing the entry points also binds the submodules they load.

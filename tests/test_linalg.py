@@ -231,6 +231,93 @@ class TestSolveNonneg:
                 )
 
 
+def reference_solve_nonneg(target, gens):
+    """The exhaustive depth-first search over every generator that
+    `solve_nonneg` replaced; kept verbatim as its reference."""
+    target = tuple(int(x) for x in target)
+    gens = [tuple(int(x) for x in g) for g in gens]
+    if any(x < 0 for x in target) or any(x < 0 for g in gens for x in g):
+        raise ValueError("solve_nonneg expects nonnegative data")
+    for g in gens:
+        if all(x == 0 for x in g):
+            raise DegenerateGenerator("zero vector among generators")
+
+    def bound(g, residual):
+        return min(residual[j] // g[j] for j in range(len(g)) if g[j] > 0)
+
+    def descend(idx, residual, prefix):
+        if all(x == 0 for x in residual):
+            return prefix + (0,) * (len(gens) - idx)
+        if idx == len(gens):
+            return None
+        g = gens[idx]
+        for a in range(bound(g, residual) + 1):
+            rem = tuple(r - a * x for r, x in zip(residual, g))
+            if any(x < 0 for x in rem):
+                break
+            found = descend(idx + 1, rem, prefix + (a,))
+            if found is not None:
+                return found
+        return None
+
+    return descend(0, target, ())
+
+
+class TestSolveNonnegAgainstReference:
+    """The unit-absorbing search returns exactly what the exhaustive search
+    returns: the lexicographically first solution, or None."""
+
+    @staticmethod
+    def unit(k, j):
+        return tuple(1 if t == j else 0 for t in range(k))
+
+    def draw(self, rng, kind):
+        k = rng.randint(1, 6)
+        num = rng.randint(1, 8)
+        gens = []
+        while len(gens) < num:
+            if kind == "units" or (kind == "mixed" and rng.random() < 0.5):
+                g = self.unit(k, rng.randrange(k))
+            elif kind == "duplicates" and gens and rng.random() < 0.4:
+                g = rng.choice(gens)
+            else:
+                g = tuple(rng.randint(0, 3) for _ in range(k))
+            if any(g):
+                gens.append(g)
+        target = tuple(rng.randint(0, 6) for _ in range(k))
+        return target, gens
+
+    def test_random_cases(self):
+        rng = random.Random(2024)
+        seen = {"units": 0, "mixed": 0, "duplicates": 0, "infeasible": 0}
+        for case in range(600):
+            kind = ("units", "mixed", "duplicates", "mixed")[case % 4]
+            target, gens = self.draw(rng, kind)
+            expected = reference_solve_nonneg(target, gens)
+            assert solve_nonneg(target, gens) == expected, (target, gens)
+            units = [sum(g) == 1 for g in gens]
+            seen["units"] += all(units)
+            seen["mixed"] += any(units) and not all(units)
+            seen["duplicates"] += len(set(gens)) < len(gens)
+            seen["infeasible"] += expected is None
+        assert min(seen.values()) >= 50, seen
+
+    def test_units_absorb_after_non_units(self):
+        # (3, 1) needs the non-unit (1, 1) once and e_0 twice, in that order.
+        gens = [(0, 2), (1, 1), (1, 0)]
+        assert solve_nonneg((3, 1), gens) == reference_solve_nonneg((3, 1), gens) == (0, 1, 2)
+
+    def test_unit_coordinate_must_be_covered(self):
+        # e_0 absorbs coordinate 0 only; coordinate 1 stays odd.
+        gens = [(1, 0), (0, 2)]
+        assert solve_nonneg((4, 3), gens) is None
+        assert reference_solve_nonneg((4, 3), gens) is None
+
+    def test_empty_generators(self):
+        assert solve_nonneg((0, 0), []) == ()
+        assert solve_nonneg((1, 0), []) is None
+
+
 class TestLatticePoints:
     def test_unit_square(self):
         system = LinearSystem.make(

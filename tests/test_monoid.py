@@ -4,10 +4,16 @@ from itertools import product
 import pytest
 
 from unifan.classgroup import radiant_classes
-from unifan.monoid import contains, gamma_of_rayset, irreducibles, is_free
+from unifan.monoid import contains, gamma_of_rayset, in_span, irreducibles, is_free
 from unifan.radiance import find_bilateral
 
-from conftest import family, negative_surface
+from conftest import (
+    RADIANT_FIXTURES,
+    family,
+    negative_surface,
+    pairwise_irreducibles,
+    random_surfaces,
+)
 
 
 def table_of(fan):
@@ -67,6 +73,44 @@ class TestIrreducibles:
         table = table_of(fan)
         monoid = gamma_of_rayset(table, [0, 1, 3])  # complement of cone(tau1)
         assert irreducibles(monoid) == [(0, 1), (1, 1), (d, 0)]
+
+
+def complement_monoids(fan):
+    """The monoid of the rays outside each cone of a radiant fan."""
+    table = table_of(fan)
+    return [
+        gamma_of_rayset(table, [r for r in range(fan.num_rays) if r not in cone])
+        for cone in fan.all_cones
+    ]
+
+
+class TestIrreduciblesAgainstPairwise:
+    """One membership query per generator gives the same list, in the same
+    order, as the pairwise definition it replaced."""
+
+    @pytest.mark.parametrize("spec", sorted(RADIANT_FIXTURES.values()))
+    def test_radiant_fixtures(self, spec):
+        for monoid in complement_monoids(family(spec)):
+            assert irreducibles(monoid) == pairwise_irreducibles(monoid)
+
+    def test_random_surfaces(self):
+        radiant = [fan for fan in random_surfaces() if find_bilateral(fan) is not None]
+        assert len(radiant) >= 5
+        for fan in radiant:
+            for monoid in complement_monoids(fan):
+                assert irreducibles(monoid) == pairwise_irreducibles(monoid)
+
+
+class TestInSpan:
+    def test_trivial_cases(self):
+        assert in_span((0, 0), [])
+        assert in_span((2, 1), [(1, 0), (2, 1)])
+        assert not in_span((0, 1), [(1, 0), (1, 1), (2, 3)])
+        assert not in_span((2, 1), [])
+
+    def test_search(self):
+        assert in_span((3, 2), [(1, 0), (1, 1)])
+        assert not in_span((3, 1), [(2, 0), (0, 1)])
 
 
 class TestIsFree:

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -6,16 +7,32 @@ from itertools import combinations
 import pytest
 
 import unifan
+import unifan.orbits
 
 from unifan.classgroup import radiant_classes
 from unifan.demazure import compute_precedence
 from unifan.linalg import q_independent, rational_rank
 from unifan.monoid import gamma_of_rayset
-from unifan.orbits import enumerate_basic_subsets, in_x_hat, minimal_basic, with_membership
+from unifan.orbits import (
+    enumerate_basic_subsets,
+    in_x_hat,
+    minimal_basic,
+    non_free_witness,
+    with_membership,
+)
 from unifan.pipeline import NotFinite, analyze_fan, finiteness_verdict, orbit_catalog
 from unifan.radiance import find_bilateral, iter_bilateral_structures
 
-from conftest import RADIANT_FIXTURES, family, negative_surface
+from conftest import (
+    P3_BLOWUP_CONES,
+    P3_BLOWUP_RAYS,
+    RADIANT_FIXTURES,
+    family,
+    negative_surface,
+    p1_power,
+    pairwise_irreducibles,
+    random_surfaces,
+)
 
 
 def prepared(fan):
@@ -298,7 +315,7 @@ class TestInvariants:
         script = (
             "import unifan.orbits\n"
             "from unifan.families import build, parse_family\n"
-            "from unifan.orbits import InvariantViolation\n"
+            "from unifan.linalg import InvariantViolation\n"
             "from unifan.pipeline import analyze_fan\n"
             "if __debug__:\n"
             "    raise SystemExit(3)\n"
@@ -315,3 +332,80 @@ class TestInvariants:
             [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
         )
         assert proc.returncode == 0, proc.stderr
+
+
+def reference_non_free_witness(fan, classes):
+    """The scan that tests every cone's complement monoid, free or not, with
+    the pairwise irreducibles."""
+    for cone in fan.all_cones:
+        complement = [r for r in range(fan.num_rays) if r not in cone.ray_indices]
+        monoid = gamma_of_rayset(classes, complement)
+        irr = pairwise_irreducibles(monoid)
+        if not q_independent(irr):
+            return cone, tuple(irr)
+    return None
+
+
+def distinct_complement_sets(fan, classes):
+    return {
+        gamma_of_rayset(classes, [r for r in range(fan.num_rays) if r not in cone]).generators
+        for cone in fan.all_cones
+    }
+
+
+class TestNonFreeWitness:
+    @pytest.mark.parametrize(
+        "spec", sorted(RADIANT_FIXTURES.values()) + ["wps:1,2,3", "wps:1,1,2,3"]
+    )
+    def test_matches_reference_on_fixtures(self, spec):
+        fan = family(spec)
+        classes, _ = prepared(fan)
+        assert non_free_witness(fan, classes) == reference_non_free_witness(fan, classes)
+
+    def test_matches_reference_on_random_surfaces(self):
+        radiant = [fan for fan in random_surfaces() if find_bilateral(fan) is not None]
+        assert len(radiant) >= 5
+        for fan in radiant + [negative_surface(d) for d in (2, 3)]:
+            classes, _ = prepared(fan)
+            assert non_free_witness(fan, classes) == reference_non_free_witness(fan, classes)
+
+    def test_is_free_once_per_distinct_complement_set(self, monkeypatch):
+        fan = p1_power(6)
+        classes, _ = prepared(fan)
+        tested = []
+        is_free = unifan.orbits.is_free
+
+        def counting(monoid):
+            tested.append(monoid.generators)
+            return is_free(monoid)
+
+        monkeypatch.setattr(unifan.orbits, "is_free", counting)
+        assert non_free_witness(fan, classes) is None
+        distinct = distinct_complement_sets(fan, classes)
+        assert len(tested) == len(distinct) < len(fan.all_cones) == 729
+        assert set(tested) == distinct
+
+    def test_fourteen_ray_blowup_is_quick(self):
+        """A 14-ray radiant blow-up of P3 (class rank 11): the complement of
+        cone (3,) is not free. The exhaustive search took minutes here."""
+        script = (
+            "from unifan.classgroup import radiant_classes\n"
+            "from unifan.fan import validate_fan\n"
+            "from unifan.orbits import non_free_witness\n"
+            "from unifan.radiance import find_bilateral\n"
+            f"fan = validate_fan(3, {json.dumps(P3_BLOWUP_RAYS)}, "
+            f"{json.dumps(P3_BLOWUP_CONES)}, require_complete=True)\n"
+            "cone, _ = non_free_witness(fan, radiant_classes(fan, find_bilateral(fan)))\n"
+            "print(list(cone.ray_indices))\n"
+        )
+        src = os.path.dirname(os.path.dirname(unifan.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [3]

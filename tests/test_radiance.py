@@ -1,7 +1,37 @@
-from unifan.linalg import IntMat
-from unifan.radiance import find_bilateral, iter_bilateral_structures
+from itertools import combinations
 
-from conftest import del_pezzo6, family, negative_surface
+from unifan.linalg import IntMat, NotUnimodular, invert_unimodular
+from unifan.radiance import BilateralStructure, find_bilateral, iter_bilateral_structures
+
+from conftest import (
+    FAMILY_SPECS,
+    del_pezzo6,
+    family,
+    negative_surface,
+    random_surfaces,
+)
+
+
+def reference_bilateral_structures(fan):
+    """The search over every dim-subset of the rays, in lexicographic order,
+    that the search over maximal cones replaced."""
+    n = fan.dim
+    indices = range(fan.num_rays)
+    out = []
+    for combo in combinations(indices, n):
+        basis = IntMat.from_rows([fan.ray_vector(i) for i in combo])
+        try:
+            dual = invert_unimodular(basis.transpose())
+        except NotUnimodular:
+            continue
+        others = [i for i in indices if i not in combo]
+        if all(
+            all(c <= 0 for c in dual.mul_vec(fan.ray_vector(i))) for i in others
+        ):
+            out.append(
+                BilateralStructure(positive=combo, negative=tuple(others), dual_basis=dual)
+            )
+    return out
 
 
 class TestFindBilateral:
@@ -47,3 +77,25 @@ class TestBilateralInvariants:
         structures = list(iter_bilateral_structures(p1xp1))
         assert structures[0].positive == (0, 1)
         assert find_bilateral(p1xp1).positive == (0, 1)
+
+
+class TestMaximalConeSearch:
+    """Every bilateral basis spans a maximal cone, so searching the maximal
+    cones yields the same structures, in the same order, as searching all
+    dim-subsets of the rays."""
+
+    def test_family_builds_and_fixtures(self):
+        fans = [family(spec) for spec in FAMILY_SPECS + ["wps:1,2,3"]]
+        fans += [del_pezzo6()] + [negative_surface(d) for d in (1, 2, 3, 5)]
+        for fan in fans:
+            assert list(iter_bilateral_structures(fan)) == reference_bilateral_structures(fan)
+
+    def test_random_surfaces(self):
+        fans = random_surfaces()
+        assert len(fans) == 30
+        found = 0
+        for fan in fans:
+            structures = list(iter_bilateral_structures(fan))
+            assert structures == reference_bilateral_structures(fan)
+            found += bool(structures)
+        assert 0 < found < len(fans)

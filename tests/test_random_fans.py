@@ -1,9 +1,7 @@
 """Randomized end-to-end checks on generated complete surface fans."""
 
 import random
-from functools import cmp_to_key
 from itertools import combinations
-from math import gcd
 
 from unifan.classgroup import radiant_classes
 from unifan.demazure import compute_precedence
@@ -13,42 +11,11 @@ from unifan.orbits import enumerate_basic_subsets
 from unifan.pipeline import analyze_fan
 from unifan.radiance import find_bilateral, iter_bilateral_structures
 
-
-def _ccw_sorted(rays):
-    def half(v):
-        return 0 if v[1] > 0 or (v[1] == 0 and v[0] > 0) else 1
-
-    def compare(a, b):
-        if half(a) != half(b):
-            return half(a) - half(b)
-        cross = a[0] * b[1] - a[1] * b[0]
-        return -1 if cross > 0 else 1
-
-    return sorted(rays, key=cmp_to_key(compare))
-
-
-def random_complete_surface(rng, extra_rays=4, spread=5):
-    """Axis rays plus random primitive rays, fanned by angular order.
-
-    Consecutive gaps stay below a half turn because the four axis rays are
-    always present, so the construction is a valid complete simplicial fan.
-    """
-    rays = {(1, 0), (0, 1), (-1, 0), (0, -1)}
-    while len(rays) < 4 + extra_rays:
-        x, y = rng.randint(-spread, spread), rng.randint(-spread, spread)
-        if (x, y) == (0, 0):
-            continue
-        g = gcd(abs(x), abs(y))
-        rays.add((x // g, y // g))
-    ordered = _ccw_sorted(rays)
-    cones = [[i, (i + 1) % len(ordered)] for i in range(len(ordered))]
-    return validate_fan(2, ordered, cones, require_complete=True)
+from conftest import random_complete_surface, random_surfaces
 
 
 def test_generated_fans_validate_and_complete():
-    rng = random.Random(321)
-    for _ in range(30):
-        fan = random_complete_surface(rng, extra_rays=rng.randint(0, 5))
+    for fan in random_surfaces():
         assert is_complete(fan)
         # removing one maximal cone always breaks completeness
         truncated = validate_fan(
