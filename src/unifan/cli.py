@@ -10,7 +10,7 @@ import sys
 from . import __version__
 from .coxspace import apply_root, apply_torus, random_rational, random_stratum_point
 from .families import InvalidSpec, NotApplicable, build, cross_check, parse_family
-from .fan import Fan, FanError, validate_fan
+from .fan import Fan, FanError, _is_int, validate_fan
 from .linalg import InvariantViolation
 from .pipeline import FanAnalysis, analyze_fan
 
@@ -23,11 +23,6 @@ class FanFileError(Exception):
 
 class UsageError(Exception):
     pass
-
-
-def _is_int(value) -> bool:
-    """JSON integers only: `true`/`false` load as bool, a subclass of int."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def load_fan_file(path: str):

@@ -55,6 +55,11 @@ class Cone:
         return iter(self.ray_indices)
 
 
+def _is_int(value) -> bool:
+    """Ints only: bools, JSON `true`/`false` among them, are a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _sort_key(cone: Cone):
     return (len(cone.ray_indices), cone.ray_indices)
 
@@ -172,13 +177,19 @@ def validate_fan(dim, rays, max_cones, require_complete: bool = False) -> Fan:
     fails, every pair of maximal cones is checked to meet in a common face
     (one exact rational LP per pair) and completeness by `is_complete`;
     the error raised therefore names the offending pair or reports
-    NotComplete exactly as that path decides.
+    NotComplete exactly as that path decides. The dimension, the ray entries
+    and the cone indices must be ints and not bools: anything else raises
+    ValueError instead of being rounded to a different fan.
     """
+    if not _is_int(dim):
+        raise ValueError(f"fan dimension {dim!r} is not an integer")
     if dim < 1:
         raise ValueError("fan dimension must be positive")
     ray_vecs = []
     for i, raw in enumerate(rays):
-        vec = tuple(int(x) for x in raw)
+        vec = tuple(raw)
+        if not all(_is_int(x) for x in vec):
+            raise ValueError(f"ray {i} = {vec} has a non-integer entry")
         if len(vec) != dim:
             raise ValueError(f"ray {i} has dimension {len(vec)}, expected {dim}")
         g = 0
@@ -195,7 +206,9 @@ def validate_fan(dim, rays, max_cones, require_complete: bool = False) -> Fan:
 
     cones = []
     for raw in max_cones:
-        idx = tuple(sorted(set(int(i) for i in raw)))
+        if not all(_is_int(i) for i in raw):
+            raise ValueError(f"cone {tuple(raw)} has a non-integer ray index")
+        idx = tuple(sorted(set(raw)))
         if len(idx) != len(set(raw)):
             raise ValueError(f"repeated ray index in cone {tuple(raw)}")
         if any(i < 0 or i >= len(ray_vecs) for i in idx):

@@ -1,10 +1,11 @@
-"""Exact integer and rational linear algebra kernel.
+"""Exact integer linear algebra kernel.
 
 Everything in this module is computed with Python's arbitrary-precision
-integers and `fractions.Fraction`; no floating point is used anywhere.
-The kernel provides Smith normal forms, unimodular inversion, rational
-rank, nonnegative integer feasibility, and bounded lattice-point
-enumeration backed by exact Fourier-Motzkin elimination.
+integers, fraction-free; no floating point is used anywhere. The kernel
+provides Smith normal forms, unimodular inversion, rational rank,
+nonnegative integer feasibility, and, for linear systems, rational
+feasibility and bounded lattice-point enumeration over one chain of exact
+integer projections (equality substitution, then Fourier-Motzkin).
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import product
 
 IntVec = tuple[int, ...]
 
@@ -376,185 +375,114 @@ class LinearSystem:
         )
 
 
-def _normalize_ineq(coeffs, rhs):
+def _normalize(coeffs, rhs, is_eq):
+    """Canonical row (c, b, is_eq) of c.x == b or c.x >= b, or None for a tautology.
+
+    An inequality is divided by the gcd of c when b is a multiple of it; an
+    equality by the gcd of c and b, with its last nonzero coefficient made
+    positive. A surviving row with c == 0 is a contradiction.
+    """
     g = _gcd_many(coeffs)
-    if g > 1 and rhs % g == 0:
-        return tuple(c // g for c in coeffs), rhs // g
-    return tuple(coeffs), rhs
+    if g == 0:
+        return None if (rhs == 0 if is_eq else rhs <= 0) else (coeffs, rhs, is_eq)
+    if is_eq:
+        g = math.gcd(g, rhs)
+        if next(x for x in reversed(coeffs) if x) < 0:
+            g = -g
+    elif rhs % g:
+        return coeffs, rhs, is_eq
+    return tuple(x // g for x in coeffs), rhs // g, is_eq
 
 
-def _fm_eliminate(ineqs, num_vars, keep=None):
-    """Fourier-Motzkin projection of integer inequalities c.x >= b.
+def _projection_chain(system: LinearSystem):
+    """Exact rational projections of the system onto x_0..x_j, for every j.
 
-    Eliminates every variable except `keep` (all of them when None) and
-    returns the surviving constraints, deduplicated.
+    Eliminates x_{n-1}, ..., x_0 in turn, as in the Omega test (Pugh, CACM
+    1992). When an equality involves x_j, the one with the smallest
+    coefficient p on x_j is substituted into every other row r as
+    p*r - r_j*pivot, which keeps everything integer; otherwise x_j is removed
+    by Fourier-Motzkin. levels[j] holds the rows (c, b, is_eq) of the
+    projection onto x_0..x_j that involve x_j, with len(c) == j + 1;
+    levels[:j + 1] together are that projection. Returns None when a
+    contradiction is left after x_0, i.e. the system is rationally
+    infeasible.
     """
-    current = {_normalize_ineq(c, b) for c, b in ineqs}
-    for j in range(num_vars):
-        if j == keep:
-            continue
-        pos, neg, rest = [], [], []
-        for c, b in current:
-            if c[j] > 0:
-                pos.append((c, b))
-            elif c[j] < 0:
-                neg.append((c, b))
+    rows = {_normalize(c, b, True) for c, b in system.equalities}
+    rows |= {_normalize(c, b, False) for c, b in system.inequalities}
+    rows.discard(None)
+    levels = [[] for _ in range(system.dim)]
+    for j in range(system.dim - 1, -1, -1):
+        on = levels[j]
+        new = set()
+        for c, b, is_eq in rows:
+            if c[j]:
+                on.append((c, b, is_eq))
             else:
-                rest.append((c, b))
-        new = set(rest)
-        for cp, bp in pos:
-            for cn, bn in neg:
-                mp, mn = -cn[j], cp[j]
-                combined = tuple(mp * a + mn * b_ for a, b_ in zip(cp, cn))
-                new.add(_normalize_ineq(combined, mp * bp + mn * bn))
-        current = new
-    return current
-
-
-def _reduce_equalities(system: LinearSystem):
-    """Gaussian elimination of the equalities over Q.
-
-    Returns (offset, basis, ineqs) describing x = offset + basis @ t with the
-    inequalities rewritten over the free parameters t (integer coefficients),
-    or None when the equalities alone are inconsistent.
-    """
-    dim = system.dim
-    rows = [[Fraction(x) for x in vec] + [Fraction(b)] for vec, b in system.equalities]
-    pivots = []
-    r = 0
-    for j in range(dim):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][j] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pr = rows[r]
-        rows[r] = [x / pr[j] for x in pr]
-        pr = rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][j] != 0:
-                c = rows[i][j]
-                rows[i] = [x - c * y for x, y in zip(rows[i], pr)]
-        pivots.append(j)
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][dim] != 0:
-            return None
-    free = [j for j in range(dim) if j not in pivots]
-
-    # x_j for pivot columns in terms of the free parameters.
-    offset = [Fraction(0)] * dim
-    basis = [[Fraction(0)] * len(free) for _ in range(dim)]
-    for idx, j in enumerate(free):
-        basis[j][idx] = Fraction(1)
-    for i, pj in enumerate(pivots):
-        offset[pj] = rows[i][dim]
-        for idx, fj in enumerate(free):
-            basis[pj][idx] = -rows[i][fj]
-
-    ineqs = []
-    for vec, b in system.inequalities:
-        const = sum(Fraction(vec[j]) * offset[j] for j in range(dim))
-        coeffs = [
-            sum(Fraction(vec[j]) * basis[j][idx] for j in range(dim))
-            for idx in range(len(free))
-        ]
-        scale = math.lcm(*(f.denominator for f in coeffs + [const])) if coeffs or const else 1
-        ineqs.append(
-            (
-                tuple(int(f * scale) for f in coeffs),
-                int((Fraction(b) - const) * scale),
-            )
-        )
-    return offset, basis, ineqs
-
-
-def _constants_consistent(constraints):
-    for c, b in constraints:
-        if all(x == 0 for x in c) and b > 0:
-            return False
-    return True
+                new.add((c[:j], b, is_eq))
+        # Normalized equalities have a positive last coefficient, c[j] here.
+        pivot = min((r for r in on if r[2]), key=lambda r: r[0][j], default=None)
+        if pivot is not None:
+            a, b0, _ = pivot
+            p = a[j]
+            for c, b, is_eq in on:
+                if (c, b, is_eq) != pivot:
+                    q = c[j]
+                    combined = tuple(p * x - q * y for x, y in zip(c[:j], a))
+                    new.add(_normalize(combined, p * b - q * b0, is_eq))
+        else:
+            pos = [(c, b) for c, b, _ in on if c[j] > 0]
+            neg = [(c, b) for c, b, _ in on if c[j] < 0]
+            for cp, bp in pos:
+                for cn, bn in neg:
+                    mp, mn = -cn[j], cp[j]
+                    combined = tuple(mp * x + mn * y for x, y in zip(cp[:j], cn))
+                    new.add(_normalize(combined, mp * bp + mn * bn, False))
+        new.discard(None)
+        rows = new
+    return None if rows else levels
 
 
 def feasible(system: LinearSystem) -> bool:
-    """Exact rational feasibility of the system."""
-    reduced = _reduce_equalities(system)
-    if reduced is None:
-        return False
-    _, basis, ineqs = reduced
-    num_free = len(basis[0]) if basis else 0
-    if num_free == 0:
-        return all(b <= 0 for c, b in ineqs)
-    return _constants_consistent(_fm_eliminate(ineqs, num_free))
-
-
-def _functional_range(ineqs, num_free, coeffs, const):
-    """Exact (min, max) of coeffs.t + const over the t-polyhedron.
-
-    Either bound may be None (unbounded). Assumes the polyhedron is
-    nonempty. Implemented by adjoining w = coeffs.t + const and projecting
-    onto w.
-    """
-    scale = math.lcm(*(f.denominator for f in list(coeffs) + [const])) if coeffs or const else 1
-    icoeffs = [int(f * scale) for f in coeffs]
-    iconst = int(const * scale)
-    extended = [(tuple(c) + (0,), b) for c, b in ineqs]
-    # scale*w - coeffs.t >= const and the reverse
-    extended.append((tuple(-c for c in icoeffs) + (scale,), iconst))
-    extended.append((tuple(icoeffs) + (-scale,), -iconst))
-    projected = _fm_eliminate(extended, num_free + 1, keep=num_free)
-    lo = hi = None
-    for c, b in projected:
-        a = c[num_free]
-        if a > 0:
-            val = Fraction(b, a)
-            lo = val if lo is None else max(lo, val)
-        elif a < 0:
-            val = Fraction(b, a)
-            hi = val if hi is None else min(hi, val)
-        elif b > 0:
-            raise InvariantViolation("projection of a nonempty polyhedron is inconsistent")
-    return lo, hi
+    """Exact rational feasibility: the projection chain ends without a contradiction."""
+    return _projection_chain(system) is not None
 
 
 def lattice_points(system: LinearSystem) -> list[IntVec]:
     """All integer solutions of the system, sorted lexicographically.
 
-    Exact rational bounds for every coordinate are established first via
-    Fourier-Motzkin; a box scan filtered by the original constraints then
-    yields the points. Raises Unbounded when a coordinate has no finite
-    bound.
+    Walks the projection chain depth-first: with x_0..x_{j-1} fixed, x_j
+    takes, in ascending order, the integers that the rows of levels[j]
+    allow. The levels are exact projections, so every leaf is a solution
+    and no point is tested afterwards. Returns [] when the system is
+    rationally infeasible and raises Unbounded when some level bounds its
+    coordinate neither by an equality nor from both sides.
     """
-    reduced = _reduce_equalities(system)
-    if reduced is None:
+    levels = _projection_chain(system)
+    if levels is None:
         return []
-    offset, basis, ineqs = reduced
-    num_free = len(basis[0]) if basis else 0
-
-    if num_free == 0:
-        if any(b > 0 for _, b in ineqs):
-            return []
-        candidate = tuple(offset)
-        if all(f.denominator == 1 for f in candidate):
-            return [tuple(int(f) for f in candidate)]
-        return []
-
-    if not _constants_consistent(_fm_eliminate(ineqs, num_free)):
-        return []
-
-    ranges = []
-    for j in range(system.dim):
-        lo, hi = _functional_range(ineqs, num_free, basis[j], offset[j])
-        if lo is None or hi is None:
+    for j, rows in enumerate(levels):
+        lower = any(is_eq or c[j] > 0 for c, _, is_eq in rows)
+        upper = any(is_eq or c[j] < 0 for c, _, is_eq in rows)
+        if not (lower and upper):
             raise Unbounded(f"coordinate {j} is unbounded")
-        ranges.append(range(math.ceil(lo), math.floor(hi) + 1))
 
-    def satisfies(point):
-        for vec, b in system.equalities:
-            if sum(v * x for v, x in zip(vec, point)) != b:
-                return False
-        for vec, b in system.inequalities:
-            if sum(v * x for v, x in zip(vec, point)) < b:
-                return False
-        return True
+    points = []
 
-    return [pt for pt in product(*ranges) if satisfies(pt)]
+    def walk(prefix):
+        j = len(prefix)
+        if j == system.dim:
+            points.append(prefix)
+            return
+        lo, hi = [], []
+        for c, b, is_eq in levels[j]:
+            r = b - sum(x * y for x, y in zip(c, prefix))
+            a = c[j]
+            if is_eq or a > 0:
+                lo.append(-(-r // a))
+            if is_eq or a < 0:
+                hi.append(r // a)
+        for x in range(max(lo), min(hi) + 1):
+            walk(prefix + (x,))
+
+    walk(())
+    return points

@@ -11,7 +11,7 @@ from unifan.demazure import (
 )
 from unifan.radiance import find_bilateral
 
-from conftest import RADIANT_FIXTURES, family
+from conftest import FAMILY_SPECS, RADIANT_FIXTURES, family
 
 
 def brute_force_roots(fan, box=8):
@@ -228,3 +228,55 @@ class TestRootCharacterizations:
                     )
                 )
                 assert prec.precedes(tau, eps_j) == holds
+
+
+def monomial_count(target: int, weights) -> int:
+    """Number of a in N^len(weights) with sum(a_i * weights_i) == target."""
+    ways = [1] + [0] * target
+    for w in weights:
+        for t in range(w, target + 1):
+            ways[t] += ways[t - w]
+    return ways[target]
+
+
+def wps_weights(spec: str) -> tuple[int, ...]:
+    """Weight of each ray of `family(spec)`, in ray order: the unit vectors
+    carry the weights after the first, the negative ray the first."""
+    head, _, rest = spec.partition(":")
+    weights = (1,) * (int(rest) + 1) if head == "pn" else tuple(int(w) for w in rest.split(","))
+    return weights[1:] + weights[:1]
+
+
+class TestRootCountsFromWeights:
+    """Cox's description of roots as degree-0 monomials x^a / x_rho: on a
+    weighted projective space the roots at ray rho are counted by the
+    a in N^(rays - rho) with sum a_rho' * w_rho' == w_rho."""
+
+    @pytest.mark.parametrize(
+        "specs",
+        [
+            [s for s in FAMILY_SPECS if s.startswith(("wps:", "pn:"))],
+            ["wps:1,1,2,4,8,16,32,64"],
+            ["pn:14"],
+        ],
+        ids=["family-specs", "wps-chain-to-64", "pn-14"],
+    )
+    def test_per_ray_count(self, specs):
+        for spec in specs:
+            fan = family(spec)
+            weights = wps_weights(spec)
+            per_ray = [0] * fan.num_rays
+            for root in enumerate_roots(fan):
+                per_ray[root.distinguished_ray] += 1
+            expected = [
+                monomial_count(w, weights[:rho] + weights[rho + 1 :])
+                for rho, w in enumerate(weights)
+            ]
+            assert per_ray == expected, spec
+
+    @pytest.mark.parametrize("spec, total", [("wps:1,1,2,4,8,16,32,64", 29414), ("pn:14", 210)])
+    def test_total(self, spec, total):
+        weights = wps_weights(spec)
+        assert total == sum(
+            monomial_count(w, weights[:rho] + weights[rho + 1 :]) for rho, w in enumerate(weights)
+        )

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -88,6 +89,30 @@ class TestValidateFan:
     def test_require_complete(self):
         with pytest.raises(NotComplete):
             validate_fan(2, [(1, 0), (0, 1)], [[0, 1]], require_complete=True)
+
+    @pytest.mark.parametrize(
+        "dim, rays, cones, message",
+        [
+            (2, [(1.9, 0), (0, 1), (-1, -1)], [[0, 1], [1, 2], [2, 0]], "ray 0"),
+            (2, [(1, 0), (0, True), (-1, -1)], [[0, 1], [1, 2], [2, 0]], "ray 1"),
+            (2, [(1, 0), (0, 1), (-1, -1)], [[0, 1.2], [1, 2], [2, 0]], "cone (0, 1.2)"),
+            (2, [(1, 0), (0, 1), (-1, -1)], [[0, True], [1, 2], [2, 0]], "cone (0, True)"),
+            (True, [(1,), (-1,)], [[0], [1]], "dimension True"),
+            (1.0, [(1,), (-1,)], [[0], [1]], "dimension 1.0"),
+        ],
+        ids=[
+            "float-ray-entry",
+            "bool-ray-entry",
+            "float-cone-index",
+            "bool-cone-index",
+            "bool-dim",
+            "float-dim",
+        ],
+    )
+    def test_non_integer_input_is_rejected(self, dim, rays, cones, message):
+        # Rounding 1.9 to 1 or reading True as 1 would validate a different fan.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            validate_fan(dim, rays, cones, require_complete=True)
 
 
 class TestIsComplete:

@@ -67,3 +67,30 @@ def test_package_exports_only_the_documented_api():
     public -= {name for name in public if name in MODULES}
     assert public == {"validate_fan", "analyze_fan"}
     assert unifan.__version__
+
+
+def _imported_names(tree) -> set[str]:
+    """Every module and `module.name` that a module imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+            names.update(f"{node.module}.{a.name}" for a in node.names)
+    return names
+
+
+def test_linalg_is_fraction_free_and_scans_no_box():
+    """Linear systems go through one integer projection chain: no Fraction
+    elimination and no `product` scan of a bounding box."""
+    tree = MODULES["linalg"]
+    names = _imported_names(tree)
+    assert not {n for n in names if n.split(".")[0] == "fractions"}
+    # `itertools.product(...)` after `import itertools` counts as well.
+    qualified = {
+        f"{n.value.id}.{n.attr}"
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+    }
+    assert "itertools.product" not in names | qualified
