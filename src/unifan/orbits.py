@@ -1,29 +1,69 @@
 """Basic subsets, their hat sets, the non-free witness, and the orbit
-catalog with its torus-orbit decomposition."""
+catalog with its torus-orbit decomposition.
+
+Ray sets are integer bitmasks (bit r is ray r). Monoid membership needs no
+search per query. In a radiant class table every class that is not a unit
+vector belongs to a positive ray, so at most `dim` classes are not units;
+each distinct one gets a bit. A ray set S then has the key (U, q): U is the
+mask of the unit coordinates covered by its unit classes and q the mask of
+its non-unit classes. The antichain A(c, q) holds the minimal supports of the
+residuals c - sum a_i p_i >= 0 with every p_i in q, and c lies in the monoid
+of S iff some support in A(c, q) is a subset of U. Each A(c, q) is built on
+first use and kept for the rest of one `enumerate_basic_subsets` call.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 from .classgroup import ClassTable
 from .demazure import PrecedenceRelation
 from .fan import Cone, Fan
 from .linalg import IntVec, InvariantViolation, q_independent
-from .monoid import ClassMonoid, gamma_of_rayset, in_span, irreducibles, is_free
+from .monoid import gamma_of_rayset, irreducibles, is_free
 
 
-@dataclass(frozen=True)
+def _bits(mask: int) -> tuple[int, ...]:
+    """The set bits of a mask, ascending."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _mask(rays) -> int:
+    out = 0
+    for r in rays:
+        out |= 1 << r
+    return out
+
+
+@dataclass(slots=True)
 class BasicSubset:
     """A ray set none of whose classes lies in the monoid of the others.
 
-    `hat` collects the rays whose class falls outside the generated monoid,
-    plus equal-class rays preceding a member; the two sets never meet.
+    The record holds two masks: bit r of `rays_mask` is set iff ray r is a
+    member, bit r of `hat_mask` iff it is in the hat set. The hat set collects
+    the rays whose class falls outside the generated monoid (its antichain
+    has no support inside the set's unit mask), plus equal-class rays
+    preceding a member; the two sets never meet. `rays`, `hat` and
+    `classes_independent` are derived on access, so the rank test runs only
+    for the records that are read.
     """
 
-    rays: tuple[int, ...]
-    hat: tuple[int, ...]
-    classes_independent: bool
+    rays_mask: int
+    hat_mask: int
+    classes: ClassTable = field(repr=False)
     in_x_hat: bool | None = None
+
+    @property
+    def rays(self) -> tuple[int, ...]:
+        return _bits(self.rays_mask)
+
+    @property
+    def hat(self) -> tuple[int, ...]:
+        return _bits(self.hat_mask)
+
+    @property
+    def classes_independent(self) -> bool:
+        return q_independent([self.classes.class_of(r) for r in self.rays])
 
 
 @dataclass(frozen=True)
@@ -42,97 +82,124 @@ class Verdict:
     witness_irreducibles: tuple[IntVec, ...] | None = None
 
 
-def _is_basic(classes: ClassTable, rays: tuple[int, ...]) -> bool:
-    for rho in rays:
-        others = [classes.class_of(r) for r in rays if r != rho]
-        if in_span(classes.class_of(rho), others):
-            return False
-    return True
+def _support(vector) -> int:
+    return _mask(j for j, x in enumerate(vector) if x)
 
 
-def _hat_of(classes: ClassTable, precedence: PrecedenceRelation, rays) -> tuple[int, ...]:
-    member_set = set(rays)
-    gens = gamma_of_rayset(classes, rays).generators if rays else ()
-    hat = []
-    for rho in range(len(classes.classes)):
-        if rho in member_set:
-            continue
-        outside = not in_span(classes.class_of(rho), gens)
-        if outside or any(precedence.precedes(rho, member) for member in rays):
-            hat.append(rho)
-    return tuple(hat)
+def _antichain(vector: IntVec, gens) -> tuple[int, ...]:
+    """Minimal supports of the residuals vector - sum a_i g_i >= 0, found by
+    walking every residual once."""
+    seen = {vector}
+    stack = [vector]
+    supports = set()
+    while stack:
+        residual = stack.pop()
+        supports.add(_support(residual))
+        for g in gens:
+            nxt = tuple(x - y for x, y in zip(residual, g))
+            if min(nxt) >= 0 and nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return tuple(m for m in supports if not any(o != m and o & m == o for o in supports))
 
 
 def enumerate_basic_subsets(
     classes: ClassTable, precedence: PrecedenceRelation
 ) -> list[BasicSubset]:
-    """All basic subsets, found by pruned depth-first search.
+    """All basic subsets, found by pruned depth-first search in lex order.
 
     Supersets of non-basic sets are non-basic (the monoid only grows), so
-    the search only extends basic prefixes. The empty set is basic.
+    the search only extends basic prefixes; the empty set is basic. S + x is
+    basic iff the class of x lies outside the monoid of S and no member's
+    class lies in the monoid of the others. A basic set has pairwise distinct
+    classes, so the key of S + x - r is that of S with the bits of x set and
+    those of r cleared. A unit class lies in a monoid only as a generator, so
+    only the non-unit members, at most `dim`, need a test, and a unit class is
+    outside the monoid of S iff its coordinate is not in U.
     """
     d = len(classes.classes)
-    found: list[tuple[int, ...]] = []
+    distinct = sorted(set(classes.classes))
+    class_id = [distinct.index(c) for c in classes.classes]
+    non_units = [c for c in distinct if sum(c) != 1]
+    unit_bit = [0] * d  # the coordinate of a unit class
+    unit_rays = [0] * d  # the rays of that unit class
+    q_bit = [0] * d  # the bit of a non-unit class
+    carriers: dict[int, int] = {}  # non-unit class id -> its rays
+    for r, c in enumerate(classes.classes):
+        same = _mask(s for s in range(d) if class_id[s] == class_id[r])
+        if sum(c) == 1:
+            unit_bit[r], unit_rays[r] = _support(c), same
+        else:
+            q_bit[r], carriers[class_id[r]] = 1 << non_units.index(c), same
+    every_unit_ray = _mask(r for r in range(d) if unit_bit[r])
+    predecessors = [0] * d
+    for a, b in precedence.pairs:
+        predecessors[b] |= 1 << a
 
-    def descend(prefix: tuple[int, ...]) -> None:
-        found.append(prefix)
-        start = prefix[-1] + 1 if prefix else 0
-        for nxt in range(start, d):
-            candidate = prefix + (nxt,)
-            if _is_basic(classes, candidate):
-                descend(candidate)
+    antichains: dict[int, dict[int, tuple[int, ...]]] = {}  # q -> class id -> A
 
-    descend(())
-    out = []
-    for rays in found:
-        hat = _hat_of(classes, precedence, rays)
-        if set(rays) & set(hat):
-            raise InvariantViolation(f"basic subset {rays} meets its hat set {hat}")
-        out.append(
-            BasicSubset(
-                rays=rays,
-                hat=hat,
-                classes_independent=q_independent(
-                    [classes.class_of(r) for r in rays]
-                ),
-            )
-        )
+    def member(c: int, units: int, q: int) -> bool:
+        """Whether class c lies in the monoid of key (units, q)."""
+        chains = antichains.get(q)
+        if chains is None:
+            chains = antichains[q] = {}
+        chain = chains.get(c)
+        if chain is None:
+            gens = [non_units[i] for i in _bits(q)]
+            chain = chains[c] = _antichain(distinct[c], gens)
+        for m in chain:
+            if m & units == m:
+                return True
+        return False
+
+    out: list[BasicSubset] = []
+    # A node: (mask, non-unit members, U, rays of the unit classes in U, q,
+    # precedence predecessors of the members, first ray that may extend it).
+    # Children are pushed highest ray first, so they pop in lex order.
+    stack = [(0, (), 0, 0, 0, 0, 0)]
+    while stack:
+        mask, members, units, covered, q, preceding, start = stack.pop()
+        outside = every_unit_ray & ~covered
+        for c, rays in carriers.items():
+            if not member(c, units, q):
+                outside |= rays
+        out.append(BasicSubset(mask, (outside | preceding) & ~mask, classes))
+        candidates = outside >> start << start
+        while candidates:
+            x = candidates.bit_length() - 1
+            candidates ^= 1 << x
+            units_x, q_x = units | unit_bit[x], q | q_bit[x]
+            for r in members:
+                if member(class_id[r], units_x, q_x & ~q_bit[r]):
+                    break
+            else:
+                stack.append(
+                    (
+                        mask | 1 << x,
+                        members + (x,) if q_bit[x] else members,
+                        units_x,
+                        covered | unit_rays[x],
+                        q_x,
+                        preceding | predecessors[x],
+                        x + 1,
+                    )
+                )
     return out
 
 
 def in_x_hat(fan: Fan, hat) -> bool:
     """Whether the stratum of a basic subset meets the quotient domain:
-    some maximal cone must contain the whole hat set."""
-    wanted = set(hat)
-    return any(wanted <= set(c.ray_indices) for c in fan.max_cones)
+    some maximal cone must contain the whole hat set. In a simplicial fan
+    that holds iff the hat set spans a cone."""
+    return fan.has_cone(hat)
 
 
 def with_membership(fan: Fan, basics) -> list[BasicSubset]:
-    return [replace(b, in_x_hat=in_x_hat(fan, b.hat)) for b in basics]
-
-
-def minimal_basic(
-    classes: ClassTable, precedence: PrecedenceRelation, monoid: ClassMonoid
-) -> tuple[int, ...]:
-    """The unique minimal basic subset generating the same monoid.
-
-    For each irreducible class, pick the earliest carrier in the precedence
-    order: the unique negative ray when one carries it, otherwise the
-    lowest-position positive ray.
-    """
-    negatives = set(classes.negative)
-    position = {ray: pos for pos, ray in enumerate(classes.positive)}
-    chosen = []
-    for cls in irreducibles(monoid):
-        carriers = [
-            r for r in range(len(classes.classes)) if classes.class_of(r) == cls
-        ]
-        negs = [r for r in carriers if r in negatives]
-        if negs:
-            chosen.append(negs[0])
-        else:
-            chosen.append(min(carriers, key=position.get))
-    return tuple(sorted(chosen))
+    """Fill the `in_x_hat` flag of each record in place; a hat set of more
+    than `dim` rays spans no cone."""
+    for b in basics:
+        b.in_x_hat = b.hat_mask.bit_count() <= fan.dim and in_x_hat(fan, b.hat)
+    return basics
 
 
 def non_free_witness(fan: Fan, classes: ClassTable):
@@ -140,18 +207,49 @@ def non_free_witness(fan: Fan, classes: ClassTable):
     together with that monoid's irreducibles; None when all are free.
 
     Freeness depends only on the generator set, and many cones share one,
-    so each distinct set is tested once.
+    so each distinct set is tested once. A cone's set is keyed by the mask
+    of the distinct classes outside it: a class drops out exactly when the
+    cone holds all of its carriers.
     """
-    free: set[tuple[IntVec, ...]] = set()
+    distinct = sorted(set(classes.classes))
+    class_bit = [1 << distinct.index(c) for c in classes.classes]
+    carriers = {}
+    for r, bit in enumerate(class_bit):
+        carriers[bit] = carriers.get(bit, 0) | 1 << r
+    every = (1 << len(distinct)) - 1
+    free: set[int] = set()
     for cone in fan.all_cones:
-        complement = [r for r in range(fan.num_rays) if r not in cone.ray_indices]
-        monoid = gamma_of_rayset(classes, complement)
-        if monoid.generators in free:
+        inside = _mask(cone.ray_indices)
+        key = every
+        for r in cone.ray_indices:
+            if not carriers[class_bit[r]] & ~inside:
+                key &= ~class_bit[r]
+        if key in free:
             continue
+        complement = [r for r in range(fan.num_rays) if not inside >> r & 1]
+        monoid = gamma_of_rayset(classes, complement)
         if not is_free(monoid):
             return cone, tuple(irreducibles(monoid))
-        free.add(monoid.generators)
+        free.add(key)
     return None
+
+
+def _cones_between(position: dict[int, int], num_rays: int, hat: int, members: int):
+    """Positions in `fan.all_cones` of the cones containing the hat set and
+    meeting no member, ascending. They are found by growing the hat one ray
+    at a time, in increasing order, among the face-closed cone masks."""
+    free_rays = _bits(((1 << num_rays) - 1) & ~(hat | members))
+    found = []
+    stack = [(hat, 0)]
+    while stack:
+        cone, start = stack.pop()
+        found.append(position[cone])
+        for i in range(start, len(free_rays)):
+            bigger = cone | 1 << free_rays[i]
+            if bigger in position:
+                stack.append((bigger, i + 1))
+    found.sort()
+    return found
 
 
 def build_catalog(fan: Fan, basics, negative_rays) -> list[OrbitRecord]:
@@ -161,22 +259,21 @@ def build_catalog(fan: Fan, basics, negative_rays) -> list[OrbitRecord]:
     hat set and the complement of the basic set; records are sorted by
     descending dimension, then by ray set.
     """
-    records = []
-    for b in basics:
-        if not b.in_x_hat:
-            continue
-        member_set = set(b.rays)
-        hat_set = set(b.hat)
-        cones = tuple(
-            c
-            for c in fan.all_cones
-            if hat_set <= set(c.ray_indices) and not member_set & set(c.ray_indices)
+    position = {_mask(c.ray_indices): i for i, c in enumerate(fan.all_cones)}
+    records = [
+        OrbitRecord(
+            basic=b,
+            dimension=fan.dim - b.hat_mask.bit_count(),
+            t_orbit_cones=tuple(
+                fan.all_cones[i]
+                for i in _cones_between(position, fan.num_rays, b.hat_mask, b.rays_mask)
+            ),
         )
-        records.append(
-            OrbitRecord(basic=b, dimension=fan.dim - len(b.hat), t_orbit_cones=cones)
-        )
+        for b in basics
+        if b.in_x_hat
+    ]
     records.sort(key=lambda r: (-r.dimension, r.basic.rays))
-    open_records = [r for r in records if not r.basic.hat]
+    open_records = [r for r in records if not r.basic.hat_mask]
     if len(open_records) != 1:
         raise InvariantViolation(f"{len(open_records)} open orbits, expected one")
     if open_records[0].basic.rays != tuple(sorted(negative_rays)):

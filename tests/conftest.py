@@ -7,7 +7,7 @@ import pytest
 
 from unifan import validate_fan
 from unifan.families import build, parse_family
-from unifan.monoid import contains
+from unifan.monoid import contains, irreducibles
 
 
 def family(spec: str):
@@ -113,6 +113,28 @@ def pairwise_irreducibles(monoid):
         if not reducible:
             out.append(g)
     return out
+
+
+def minimal_basic(classes, precedence, monoid):
+    """The unique minimal basic subset generating the same monoid.
+
+    For each irreducible class, pick the earliest carrier in the precedence
+    order: the unique negative ray when one carries it, otherwise the
+    lowest-position positive ray.
+    """
+    negatives = set(classes.negative)
+    position = {ray: pos for pos, ray in enumerate(classes.positive)}
+    chosen = []
+    for cls in irreducibles(monoid):
+        carriers = [
+            r for r in range(len(classes.classes)) if classes.class_of(r) == cls
+        ]
+        negs = [r for r in carriers if r in negatives]
+        if negs:
+            chosen.append(negs[0])
+        else:
+            chosen.append(min(carriers, key=position.get))
+    return tuple(sorted(chosen))
 
 
 def del_pezzo6():
