@@ -62,17 +62,37 @@ def fan_file_payload(fan: Fan) -> dict:
     }
 
 
-def _jsonable(value):
-    """Recursively prepare a report for JSON; integers beyond 2^53 - 1 are
-    serialized as strings so consumers never lose precision."""
-    if isinstance(value, bool) or value is None or isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return value if abs(value) <= _JSON_SAFE else str(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(x) for x in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, indent: str = "") -> str:
+    """The text of `json.dumps(value, indent=2)` for a report tree of dicts
+    with str keys, lists, tuples, str, int, bool and None, in one pass (with
+    `indent`, Python's encoder falls back to its generator-based pure-Python
+    path). Integers beyond 2^53 - 1 in magnitude are written as strings so
+    consumers never lose precision."""
+    kind = type(value)
+    if kind is int:
+        return repr(value) if -_JSON_SAFE <= value <= _JSON_SAFE else f'"{value}"'
+    if kind is str:
+        return _encode_str(value)
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = [_json_text(x, inner) for x in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [_encode_str(k) + ": " + _json_text(v, inner) for k, v in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if value is None or kind is bool:
+        return "null" if value is None else "true" if value else "false"
+    for base in (int, str, list, tuple, dict):
+        if isinstance(value, base):  # subclasses such as IntEnum
+            return _json_text(base(value), indent)
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
@@ -307,7 +327,7 @@ def cmd_analyze(args) -> int:
         seed=args.seed,
     )
     if args.format == "json":
-        print(json.dumps(_jsonable(report), indent=2))
+        print(_json_text(report))
     else:
         sys.stdout.write(render_text(report))
     return 0

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from .classgroup import ClassTable
 from .demazure import DemazureRoot
-from .fan import Cone, Fan
+from .fan import Fan
 
 
 @dataclass(frozen=True)
@@ -20,13 +20,6 @@ class CoxPoint:
 
     def zero_pattern(self) -> frozenset[int]:
         return frozenset(i for i, x in enumerate(self.coords) if x == 0)
-
-
-def make_point(fan: Fan, values) -> CoxPoint:
-    values = tuple(Fraction(x) for x in values)
-    if len(values) != fan.num_rays:
-        raise ValueError("one coordinate per ray expected")
-    return CoxPoint(fan=fan, coords=values)
 
 
 def apply_root(point: CoxPoint, root: DemazureRoot, s) -> CoxPoint:
@@ -64,18 +57,6 @@ def apply_torus(point: CoxPoint, t, classes: ClassTable) -> CoxPoint:
     return CoxPoint(fan=point.fan, coords=tuple(coords))
 
 
-def t_orbit_of(point: CoxPoint) -> Cone | None:
-    """The cone whose ray set equals the zero pattern, when there is one.
-
-    None means the point lies in the excluded locus: its zero pattern is no
-    cone of the fan, so it sits outside every quotient chart.
-    """
-    pattern = tuple(sorted(point.zero_pattern()))
-    if point.fan.has_cone(pattern):
-        return Cone(pattern)
-    return None
-
-
 def random_rational(rng, nonzero: bool = False) -> Fraction:
     """Small-height random rational, optionally bounded away from zero."""
     while True:
@@ -100,8 +81,3 @@ def random_stratum_point(fan: Fan, basic, rng) -> CoxPoint:
         else:
             coords.append(random_rational(rng))
     return CoxPoint(fan=fan, coords=tuple(coords))
-
-
-def in_stratum(point: CoxPoint, basic) -> bool:
-    zeros = point.zero_pattern()
-    return not (set(basic.rays) & zeros) and set(basic.hat) <= zeros

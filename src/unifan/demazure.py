@@ -3,7 +3,7 @@ and the precedence order on rays."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import count
 
 from .classgroup import ClassTable
@@ -12,13 +12,14 @@ from .linalg import IntVec, InvariantViolation, LinearSystem, lattice_points
 from .radiance import BilateralStructure
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DemazureRoot:
     """A character pairing to -1 with exactly one ray and >= 0 with the rest.
 
-    `in_u` is None until a defining vector has been chosen; unipotent roots
-    always end up in the maximal unipotent subgroup, semisimple ones only
-    when they pair positively with the chosen vector.
+    `in_u` is None until a defining vector has been chosen; `mark_membership`
+    then sets it in place, so the record is mutable and unhashable. Unipotent
+    roots always end up in the maximal unipotent subgroup, semisimple ones
+    only when they pair positively with the chosen vector.
     """
 
     e: IntVec
@@ -55,7 +56,9 @@ def enumerate_roots(fan: Fan) -> list[DemazureRoot]:
     """All Demazure roots of a complete fan, sorted by (ray, e).
 
     For each ray the root set is the bounded lattice slice pairing to -1
-    with that ray and nonnegatively with all others.
+    with that ray and nonnegatively with all others. Rays are visited in
+    ascending order and `lattice_points` returns each slice in lex order,
+    so the list comes out sorted.
     """
     n = fan.dim
     found: list[tuple[int, IntVec]] = []
@@ -69,14 +72,9 @@ def enumerate_roots(fan: Fan) -> list[DemazureRoot]:
                 if other != rho
             ],
         )
-        for e in lattice_points(system):
-            found.append((rho, e))
+        found.extend((rho, e) for e in lattice_points(system))
     all_e = {e for _, e in found}
-    roots = [
-        DemazureRoot(e=e, distinguished_ray=rho, semisimple=tuple(-x for x in e) in all_e)
-        for rho, e in sorted(found)
-    ]
-    return roots
+    return [DemazureRoot(e, rho, tuple([-x for x in e]) in all_e) for rho, e in found]
 
 
 def _dot(a, b) -> int:
@@ -104,13 +102,13 @@ def choose_v(fan: Fan, bilateral: BilateralStructure, roots) -> UnipotentChoice:
 
 
 def mark_membership(roots, choice: UnipotentChoice) -> list[DemazureRoot]:
-    """Fill the in_u flag: unipotent roots always, semisimple ones when they
-    pair positively with the chosen vector."""
-    out = []
+    """Set the in_u flag of each root in place and return the same list:
+    unipotent roots always, semisimple ones when they pair positively with
+    the chosen vector."""
+    v = choice.v
     for r in roots:
-        in_u = True if not r.semisimple else _dot(r.e, choice.v) > 0
-        out.append(replace(r, in_u=in_u))
-    return out
+        r.in_u = not r.semisimple or _dot(r.e, v) > 0
+    return roots
 
 
 def compute_precedence(

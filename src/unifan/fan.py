@@ -291,9 +291,3 @@ def is_complete(fan: Fan) -> bool:
                 seen.add(nb)
                 stack.append(nb)
     return len(seen) == len(fan.max_cones)
-
-
-def cones_with_rayset(fan: Fan, ray_indices) -> list[Cone]:
-    """All fan cones containing the given rays, sorted by size then lex."""
-    wanted = set(ray_indices)
-    return [c for c in fan.all_cones if wanted <= set(c.ray_indices)]

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from functools import cmp_to_key
 from itertools import product
 from math import gcd
@@ -6,7 +7,9 @@ from math import gcd
 import pytest
 
 from unifan import validate_fan
+from unifan.coxspace import CoxPoint
 from unifan.families import build, parse_family
+from unifan.fan import Cone, Fan
 from unifan.monoid import contains, irreducibles
 
 
@@ -95,6 +98,36 @@ P3_BLOWUP_CONES = [
     [2, 4, 7], [2, 7, 9], [2, 9, 10], [3, 4, 7], [3, 4, 11], [3, 5, 6],
     [3, 5, 12], [3, 6, 8], [3, 7, 9], [3, 9, 13], [3, 10, 13], [9, 10, 13],
 ]
+
+
+def cones_with_rayset(fan: Fan, ray_indices) -> list[Cone]:
+    """All fan cones containing the given rays, sorted by size then lex."""
+    wanted = set(ray_indices)
+    return [c for c in fan.all_cones if wanted <= set(c.ray_indices)]
+
+
+def make_point(fan: Fan, values) -> CoxPoint:
+    values = tuple(Fraction(x) for x in values)
+    if len(values) != fan.num_rays:
+        raise ValueError("one coordinate per ray expected")
+    return CoxPoint(fan=fan, coords=values)
+
+
+def t_orbit_of(point: CoxPoint) -> Cone | None:
+    """The cone whose ray set equals the zero pattern, when there is one.
+
+    None means the point lies in the excluded locus: its zero pattern is no
+    cone of the fan, so it sits outside every quotient chart.
+    """
+    pattern = tuple(sorted(point.zero_pattern()))
+    if point.fan.has_cone(pattern):
+        return Cone(pattern)
+    return None
+
+
+def in_stratum(point: CoxPoint, basic) -> bool:
+    zeros = point.zero_pattern()
+    return not (set(basic.rays) & zeros) and set(basic.hat) <= zeros
 
 
 def pairwise_irreducibles(monoid):

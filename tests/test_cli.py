@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -249,3 +250,27 @@ class TestGoldenReports:
         )
         with open(os.path.join(GOLDEN_DIR, f"{name}.json"), "r", encoding="utf-8") as fh:
             assert out == fh.read()
+
+
+class TestRootReportPins:
+    """SHA-256 of whole `--roots` reports, recorded with the `json.dumps`
+    renderer and the sorted, frozen root records this writer replaced."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["--family", "wps:1,1,2,4,8", "--format", "json", "--roots", "--check"],
+                "ae3c91e7f7b6d4816b44958257521d1bb888da8177efa2783134bae2329b3715",
+            ),
+            (
+                ["--family", "pn:3", "--format", "json", "--roots"],
+                "2836139b47ba9d44eaf018472aaf92f1e881c8f61bb686c19d8ec667903bb51a",
+            ),
+        ],
+        ids=["wps-1-1-2-4-8-check", "pn-3"],
+    )
+    def test_report_digest(self, capsys, argv, digest):
+        code, out = run(capsys, "analyze", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -6,15 +6,12 @@ import pytest
 from unifan.coxspace import (
     apply_root,
     apply_torus,
-    in_stratum,
-    make_point,
     random_rational,
     random_stratum_point,
-    t_orbit_of,
 )
 from unifan.pipeline import analyze_fan
 
-from conftest import family, negative_surface
+from conftest import family, in_stratum, make_point, negative_surface, t_orbit_of
 
 ORACLE_FIXTURES = ["hirzebruch:1", "hirzebruch:2", "pn:2", "p1xp1", "wps:1,1,2", "wps:1,1,2,4"]
 

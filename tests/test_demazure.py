@@ -1,3 +1,4 @@
+from dataclasses import dataclass, replace
 from itertools import product
 
 import pytest
@@ -9,9 +10,10 @@ from unifan.demazure import (
     enumerate_roots,
     mark_membership,
 )
+from unifan.linalg import IntVec, LinearSystem, lattice_points
 from unifan.radiance import find_bilateral
 
-from conftest import FAMILY_SPECS, RADIANT_FIXTURES, family
+from conftest import FAMILY_SPECS, RADIANT_FIXTURES, family, random_surfaces
 
 
 def brute_force_roots(fan, box=8):
@@ -85,6 +87,84 @@ class TestEnumerateRoots:
         all_e = {r.e for r in roots}
         for r in roots:
             assert r.semisimple == (tuple(-x for x in r.e) in all_e)
+
+
+@dataclass(frozen=True)
+class ReferenceRoot:
+    """The frozen root record that `mark_membership` rebuilt with `replace`."""
+
+    e: IntVec
+    distinguished_ray: int
+    semisimple: bool
+    in_u: bool | None = None
+
+
+def reference_enumerate_roots(fan):
+    """Roots collected per ray, then sorted by (ray, e)."""
+    n = fan.dim
+    found = []
+    for rho in range(fan.num_rays):
+        system = LinearSystem.make(
+            n,
+            equalities=[(fan.ray_vector(rho), -1)],
+            inequalities=[
+                (fan.ray_vector(other), 0)
+                for other in range(fan.num_rays)
+                if other != rho
+            ],
+        )
+        for e in lattice_points(system):
+            found.append((rho, e))
+    all_e = {e for _, e in found}
+    return [
+        ReferenceRoot(e=e, distinguished_ray=rho, semisimple=tuple(-x for x in e) in all_e)
+        for rho, e in sorted(found)
+    ]
+
+
+def reference_mark_membership(roots, choice):
+    out = []
+    for r in roots:
+        in_u = True if not r.semisimple else pairing(r.e, choice.v) > 0
+        out.append(replace(r, in_u=in_u))
+    return out
+
+
+def root_fields(roots):
+    return [(r.e, r.distinguished_ray, r.semisimple, r.in_u) for r in roots]
+
+
+class TestRootRecordsAgainstReference:
+    """Records built once in enumeration order and flagged in place equal
+    the sorted frozen records the reference rebuilds."""
+
+    @staticmethod
+    def assert_same(fan):
+        roots = enumerate_roots(fan)
+        expected = reference_enumerate_roots(fan)
+        assert root_fields(roots) == root_fields(expected)
+        bilateral = find_bilateral(fan)
+        if bilateral is None:
+            return
+        choice = choose_v(fan, bilateral, roots)
+        assert mark_membership(roots, choice) is roots
+        assert root_fields(roots) == root_fields(reference_mark_membership(expected, choice))
+
+    def test_family_specs(self):
+        radiant = 0
+        for spec in FAMILY_SPECS:
+            fan = family(spec)
+            radiant += find_bilateral(fan) is not None
+            self.assert_same(fan)
+        assert radiant > 0
+
+    @pytest.mark.parametrize("spec", sorted(RADIANT_FIXTURES.values()))
+    def test_radiant_fixtures(self, spec):
+        self.assert_same(family(spec))
+
+    def test_random_surfaces(self):
+        for fan in random_surfaces():
+            self.assert_same(fan)
 
 
 class TestChooseV:

@@ -15,13 +15,12 @@ from unifan.fan import (
     NotComplete,
     _complete_certificate,
     _pairwise_intersection_ok,
-    cones_with_rayset,
     is_complete,
     validate_fan,
 )
 from unifan.linalg import feasible
 
-from conftest import RADIANT_FIXTURES, family
+from conftest import RADIANT_FIXTURES, cones_with_rayset, family
 from test_random_fans import random_complete_surface
 
 HIRZ2_RAYS = [(1, 0), (0, 1), (-1, -2), (0, -1)]

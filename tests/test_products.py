@@ -3,11 +3,11 @@ torus-orbit decomposition must match what the action simulator sees."""
 
 import random
 
-from unifan.coxspace import make_point, random_stratum_point, t_orbit_of
+from unifan.coxspace import random_stratum_point
 from unifan.fan import validate_fan
 from unifan.pipeline import analyze_fan
 
-from conftest import family
+from conftest import family, make_point, t_orbit_of
 
 
 def p1_cubed():

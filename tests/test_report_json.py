@@ -1,0 +1,148 @@
+"""The CLI's JSON report writer against the renderer it replaced."""
+
+import enum
+import itertools
+import json
+import random
+from collections import OrderedDict, namedtuple
+
+import pytest
+
+from unifan.cli import _json_text, build_report
+from unifan.pipeline import analyze_fan
+
+from conftest import RADIANT_FIXTURES, family
+
+_JSON_SAFE = 2**53 - 1
+
+
+def _jsonable(value):
+    """Recursively prepare a report for JSON; integers beyond 2^53 - 1 are
+    serialized as strings so consumers never lose precision."""
+    if isinstance(value, bool) or value is None or isinstance(value, str):
+        return value
+    if isinstance(value, int):
+        return value if abs(value) <= _JSON_SAFE else str(value)
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(x) for x in value]
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+def reference_text(value) -> str:
+    return json.dumps(_jsonable(value), indent=2)
+
+
+class Weight(enum.IntEnum):
+    LOW = 3
+    HUGE = 2**60
+
+
+EDGE_INTS = [0, 1, -1, _JSON_SAFE, -_JSON_SAFE, 2**53, -(2**53), 2**60, -(2**60)]
+EDGE_STRINGS = [
+    "",
+    "plain",
+    "ray ρ → σ",
+    "日本語",
+    "emoji 🙂",
+    "tab\tnew\nline\r\x00\x1f\x7f",
+    'quote " and \\ backslash',
+    "/slash",
+    "  ",
+]
+
+
+def random_tree(rng: random.Random, depth: int):
+    if depth == 0 or rng.random() < 0.3:
+        pick = rng.randrange(7)
+        if pick == 0:
+            return rng.choice(EDGE_INTS)
+        if pick == 1:
+            return rng.randint(-(2**70), 2**70) if rng.random() < 0.2 else rng.randint(-50, 50)
+        if pick == 2:
+            return rng.choice(EDGE_STRINGS)
+        if pick == 3:
+            return rng.choice([True, False, None])
+        if pick == 4:
+            return rng.choice(list(Weight))
+        return rng.choice([[], {}, ()])
+    size = rng.randint(0, 4)
+    kind = rng.randrange(3)
+    children = [random_tree(rng, depth - 1) for _ in range(size)]
+    if kind == 0:
+        return children
+    if kind == 1:
+        return tuple(children)
+    keys = [rng.choice(EDGE_STRINGS) + str(i) for i in range(size)]
+    return dict(zip(keys, children))
+
+
+def nested(depth: int):
+    tree = [EDGE_INTS, {"leaf": Weight.HUGE}]
+    for level in range(depth):
+        tree = {f"level {level}": tree, "tuple": (level, -level)} if level % 2 else [tree, ()]
+    return tree
+
+
+@pytest.mark.parametrize("spec", sorted(RADIANT_FIXTURES.values()))
+def test_fixture_reports(spec):
+    analysis = analyze_fan(family(spec))
+    for orbits, roots, check in itertools.product([False, True], repeat=3):
+        report = build_report(analysis, orbits, roots, check, seed=5)
+        assert _json_text(report) == reference_text(report), (spec, orbits, roots, check)
+
+
+def test_random_trees():
+    rng = random.Random(2024)
+    for _ in range(400):
+        tree = random_tree(rng, depth=5)
+        assert _json_text(tree) == reference_text(tree)
+
+
+@pytest.mark.parametrize("value", EDGE_INTS + EDGE_STRINGS + [True, False, None, Weight.LOW, Weight.HUGE])
+def test_scalars(value):
+    assert _json_text(value) == reference_text(value)
+
+
+class Label(str):
+    pass
+
+
+class Rows(list):
+    pass
+
+
+Pair = namedtuple("Pair", "ray count")
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        Label("ρ\n"),
+        Rows([1, Rows([2**60])]),
+        Pair(3, Weight.HUGE),
+        OrderedDict([("b", Pair(0, Label("x"))), ("a", [])]),
+        {"pairs": [Pair(-1, True), Pair(2**53, None)]},
+    ],
+    ids=["str", "list", "namedtuple", "ordered-dict", "nested"],
+)
+def test_container_and_scalar_subclasses(value):
+    assert _json_text(value) == reference_text(value)
+
+
+def test_big_integers_are_strings():
+    assert _json_text([2**53, -(2**53), _JSON_SAFE]) == '[\n  "9007199254740992",\n  "-9007199254740992",\n  9007199254740991\n]'
+
+
+def test_deep_nesting():
+    tree = nested(60)
+    assert _json_text(tree) == reference_text(tree)
+
+
+@pytest.mark.parametrize("bad", [1.5, {1, 2}, [0, {"x": 0.0}], {"s": frozenset()}])
+def test_rejected_values(bad):
+    with pytest.raises(TypeError):
+        reference_text(bad)
+    with pytest.raises(TypeError):
+        _json_text(bad)
