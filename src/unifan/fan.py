@@ -1,4 +1,5 @@
-"""Fan data model, structural validation, and completeness testing."""
+"""Fan data model, structural validation, the completeness certificate and
+the mask-keyed face index."""
 
 from __future__ import annotations
 
@@ -64,6 +65,14 @@ def _sort_key(cone: Cone):
     return (len(cone.ray_indices), cone.ray_indices)
 
 
+def ray_mask(rays) -> int:
+    """The ray set as an integer bitmask: bit r is ray r."""
+    out = 0
+    for r in rays:
+        out |= 1 << r
+    return out
+
+
 @dataclass(frozen=True)
 class Fan:
     """A validated simplicial fan; geometry always derives from `rays`."""
@@ -72,7 +81,8 @@ class Fan:
     rays: tuple[Ray, ...]
     max_cones: tuple[Cone, ...]
     all_cones: tuple[Cone, ...]
-    cone_set: frozenset = field(repr=False, default=frozenset())
+    # ray mask of each cone -> its position in `all_cones`, in that order
+    cone_index: dict[int, int] = field(repr=False, compare=False)
 
     @property
     def num_rays(self) -> int:
@@ -85,13 +95,7 @@ class Fan:
         return [r.primitive for r in self.rays]
 
     def has_cone(self, ray_indices) -> bool:
-        return tuple(sorted(ray_indices)) in self.cone_set
-
-    def cone(self, ray_indices) -> Cone:
-        key = tuple(sorted(ray_indices))
-        if key not in self.cone_set:
-            raise KeyError(f"{key} is not a cone of the fan")
-        return Cone(key)
+        return ray_mask(ray_indices) in self.cone_index
 
 
 def _pairwise_intersection_ok(fan_dim, rays, c1: Cone, c2: Cone) -> bool:
@@ -138,9 +142,10 @@ def _complete_certificate(dim, rays, maximal) -> bool:
 
     (a) and (b) make the cones cover every generic point the same number
     of times; (c) makes that number 1, which rules out a fan that wraps
-    around twice. True proves the fan valid and complete; False proves
-    nothing, and the caller falls back to the LP checks. The cones must
-    already be known to be simplicial.
+    around twice. True proves the fan valid and complete. On cones that meet
+    in common faces, False proves the fan incomplete: a complete such fan
+    passes (a), and it cannot fail (b) or (c), since no two of its cones
+    overlap. The cones must already be known to be simplicial.
     """
     if not maximal or any(len(c) != dim for c in maximal):
         return False
@@ -168,18 +173,18 @@ def _complete_certificate(dim, rays, maximal) -> bool:
 
 
 def validate_fan(dim, rays, max_cones, require_complete: bool = False) -> Fan:
-    """Validate raw fan data and derive the full face list.
+    """Validate raw fan data and derive the full face list and its index.
 
     Checks ray primitivity and distinctness, simpliciality of every cone,
-    and that no ray is unused. With require_complete, a complete fan is
-    then proved by `_complete_certificate` (integer determinants, no LP,
-    linear in the number of cones). Without it, or when the certificate
-    fails, every pair of maximal cones is checked to meet in a common face
-    (one exact rational LP per pair) and completeness by `is_complete`;
-    the error raised therefore names the offending pair or reports
-    NotComplete exactly as that path decides. The dimension, the ray entries
-    and the cone indices must be ints and not bools: anything else raises
-    ValueError instead of being rounded to a different fan.
+    and that no ray is unused, then asks `is_complete` once (integer
+    determinants, no LP, linear in the number of cones). A true answer
+    proves the cones form a complete fan. Only on a false one is every pair
+    of maximal cones checked to meet in a common face (one exact rational
+    LP per pair), so the error raised names the first offending pair; a fan
+    that passes is incomplete, which raises NotComplete when
+    require_complete is set. The dimension, the ray entries and the cone
+    indices must be ints and not bools: anything else raises ValueError
+    instead of being rounded to a different fan.
     """
     if not _is_int(dim):
         raise ValueError(f"fan dimension {dim!r} is not an integer")
@@ -237,57 +242,26 @@ def validate_fan(dim, rays, max_cones, require_complete: bool = False) -> Fan:
     faces = proper_faces | {c.ray_indices for c in maximal} | {()}
     all_cones = tuple(sorted((Cone(f) for f in faces), key=_sort_key))
 
-    certified = require_complete and _complete_certificate(dim, ray_vecs, maximal)
-    if not certified:
-        for c1, c2 in combinations(maximal, 2):
-            if not _pairwise_intersection_ok(dim, ray_vecs, c1, c2):
-                raise FanConditionViolated(
-                    f"cones {c1.ray_indices} and {c2.ray_indices} overlap beyond a common face"
-                )
-
     fan = Fan(
         dim=dim,
         rays=tuple(Ray(i, v) for i, v in enumerate(ray_vecs)),
         max_cones=tuple(maximal),
         all_cones=all_cones,
-        cone_set=frozenset(c.ray_indices for c in all_cones),
+        cone_index={ray_mask(c.ray_indices): i for i, c in enumerate(all_cones)},
     )
-    if require_complete and not certified and not is_complete(fan):
-        raise NotComplete("the fan does not cover the ambient space")
+    if not is_complete(fan):
+        for c1, c2 in combinations(maximal, 2):
+            if not _pairwise_intersection_ok(dim, ray_vecs, c1, c2):
+                raise FanConditionViolated(
+                    f"cones {c1.ray_indices} and {c2.ray_indices} overlap beyond a common face"
+                )
+        if require_complete:
+            raise NotComplete("the fan does not cover the ambient space")
     return fan
 
 
 def is_complete(fan: Fan) -> bool:
-    """Completeness via the ridge-pairing criterion.
-
-    A validated simplicial fan covers the ambient space exactly when all
-    maximal cones are full-dimensional, every ridge lies in exactly two of
-    them, and the ridge-adjacency graph is connected. The fan must already
-    satisfy the pairwise-intersection axiom; for raw data,
-    `validate_fan(..., require_complete=True)` proves both at once with the
-    certificate of De Loera-Rambau-Santos, *Triangulations*, ch. 4, and
-    uses this test only when that certificate fails.
-    """
-    n = fan.dim
-    if not fan.max_cones:
-        return False
-    if any(len(c) != n for c in fan.max_cones):
-        return False
-    ridge_owners: dict[tuple, list[int]] = {}
-    for ci, cone in enumerate(fan.max_cones):
-        for ridge in combinations(cone.ray_indices, n - 1):
-            ridge_owners.setdefault(ridge, []).append(ci)
-    if any(len(owners) != 2 for owners in ridge_owners.values()):
-        return False
-    adjacency = {ci: set() for ci in range(len(fan.max_cones))}
-    for a, b in ridge_owners.values():
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for nb in adjacency[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == len(fan.max_cones)
+    """Whether the fan covers the ambient space: `_complete_certificate` on
+    the fan's own data. Every `Fan` that `validate_fan` returns has cones
+    meeting in common faces, so there the answer is exact either way."""
+    return _complete_certificate(fan.dim, fan.ray_vectors(), fan.max_cones)

@@ -18,7 +18,6 @@ class ClassMonoid:
     indices per distinct generator.
     """
 
-    ambient_rank: int
     generators: tuple[IntVec, ...]
     sources: tuple[tuple[int, ...], ...]
 
@@ -33,7 +32,6 @@ def gamma_of_rayset(classes: ClassTable, ray_indices) -> ClassMonoid:
         by_vector.setdefault(vec, []).append(ray)
     gens = tuple(sorted(by_vector))
     return ClassMonoid(
-        ambient_rank=classes.k,
         generators=gens,
         sources=tuple(tuple(by_vector[g]) for g in gens),
     )

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .classgroup import ClassTable
 from .demazure import PrecedenceRelation
-from .fan import Cone, Fan
+from .fan import Cone, Fan, ray_mask
 from .linalg import IntVec, InvariantViolation, q_independent
 from .monoid import gamma_of_rayset, irreducibles, is_free
 
@@ -26,13 +26,6 @@ from .monoid import gamma_of_rayset, irreducibles, is_free
 def _bits(mask: int) -> tuple[int, ...]:
     """The set bits of a mask, ascending."""
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-
-def _mask(rays) -> int:
-    out = 0
-    for r in rays:
-        out |= 1 << r
-    return out
 
 
 @dataclass(slots=True)
@@ -83,7 +76,7 @@ class Verdict:
 
 
 def _support(vector) -> int:
-    return _mask(j for j, x in enumerate(vector) if x)
+    return ray_mask(j for j, x in enumerate(vector) if x)
 
 
 def _antichain(vector: IntVec, gens) -> tuple[int, ...]:
@@ -126,12 +119,12 @@ def enumerate_basic_subsets(
     q_bit = [0] * d  # the bit of a non-unit class
     carriers: dict[int, int] = {}  # non-unit class id -> its rays
     for r, c in enumerate(classes.classes):
-        same = _mask(s for s in range(d) if class_id[s] == class_id[r])
+        same = ray_mask(s for s in range(d) if class_id[s] == class_id[r])
         if sum(c) == 1:
             unit_bit[r], unit_rays[r] = _support(c), same
         else:
             q_bit[r], carriers[class_id[r]] = 1 << non_units.index(c), same
-    every_unit_ray = _mask(r for r in range(d) if unit_bit[r])
+    every_unit_ray = ray_mask(r for r in range(d) if unit_bit[r])
     predecessors = [0] * d
     for a, b in precedence.pairs:
         predecessors[b] |= 1 << a
@@ -187,18 +180,13 @@ def enumerate_basic_subsets(
     return out
 
 
-def in_x_hat(fan: Fan, hat) -> bool:
-    """Whether the stratum of a basic subset meets the quotient domain:
-    some maximal cone must contain the whole hat set. In a simplicial fan
-    that holds iff the hat set spans a cone."""
-    return fan.has_cone(hat)
-
-
 def with_membership(fan: Fan, basics) -> list[BasicSubset]:
-    """Fill the `in_x_hat` flag of each record in place; a hat set of more
-    than `dim` rays spans no cone."""
+    """Fill the `in_x_hat` flag of each record in place: the stratum of a
+    basic subset meets the quotient domain iff some maximal cone contains
+    the whole hat set, which in a simplicial fan holds iff the hat set is a
+    cone, one lookup in `fan.cone_index`."""
     for b in basics:
-        b.in_x_hat = b.hat_mask.bit_count() <= fan.dim and in_x_hat(fan, b.hat)
+        b.in_x_hat = b.hat_mask in fan.cone_index
     return basics
 
 
@@ -218,8 +206,7 @@ def non_free_witness(fan: Fan, classes: ClassTable):
         carriers[bit] = carriers.get(bit, 0) | 1 << r
     every = (1 << len(distinct)) - 1
     free: set[int] = set()
-    for cone in fan.all_cones:
-        inside = _mask(cone.ray_indices)
+    for cone, inside in zip(fan.all_cones, fan.cone_index):
         key = every
         for r in cone.ray_indices:
             if not carriers[class_bit[r]] & ~inside:
@@ -234,7 +221,7 @@ def non_free_witness(fan: Fan, classes: ClassTable):
     return None
 
 
-def _cones_between(position: dict[int, int], num_rays: int, hat: int, members: int):
+def _cones_between(cone_index: dict[int, int], num_rays: int, hat: int, members: int):
     """Positions in `fan.all_cones` of the cones containing the hat set and
     meeting no member, ascending. They are found by growing the hat one ray
     at a time, in increasing order, among the face-closed cone masks."""
@@ -243,10 +230,10 @@ def _cones_between(position: dict[int, int], num_rays: int, hat: int, members: i
     stack = [(hat, 0)]
     while stack:
         cone, start = stack.pop()
-        found.append(position[cone])
+        found.append(cone_index[cone])
         for i in range(start, len(free_rays)):
             bigger = cone | 1 << free_rays[i]
-            if bigger in position:
+            if bigger in cone_index:
                 stack.append((bigger, i + 1))
     found.sort()
     return found
@@ -259,14 +246,13 @@ def build_catalog(fan: Fan, basics, negative_rays) -> list[OrbitRecord]:
     hat set and the complement of the basic set; records are sorted by
     descending dimension, then by ray set.
     """
-    position = {_mask(c.ray_indices): i for i, c in enumerate(fan.all_cones)}
     records = [
         OrbitRecord(
             basic=b,
             dimension=fan.dim - b.hat_mask.bit_count(),
             t_orbit_cones=tuple(
                 fan.all_cones[i]
-                for i in _cones_between(position, fan.num_rays, b.hat_mask, b.rays_mask)
+                for i in _cones_between(fan.cone_index, fan.num_rays, b.hat_mask, b.rays_mask)
             ),
         )
         for b in basics

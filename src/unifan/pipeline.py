@@ -29,10 +29,6 @@ from .orbits import (
 from .radiance import BilateralStructure, find_bilateral
 
 
-class NotFinite(Exception):
-    """Orbit catalog requested for a fan whose verdict is not finite."""
-
-
 @dataclass(frozen=True)
 class FanAnalysis:
     fan: Fan
@@ -100,15 +96,3 @@ def analyze_fan(fan: Fan, bilateral: BilateralStructure | None = None) -> FanAna
         catalog=catalog,
     )
 
-
-def finiteness_verdict(fan: Fan, bilateral=None) -> Verdict:
-    """Decide whether a maximal unipotent subgroup has finitely many orbits."""
-    return analyze_fan(fan, bilateral=bilateral).verdict
-
-
-def orbit_catalog(fan: Fan) -> list[OrbitRecord]:
-    """The orbit records of a finite-verdict fan; raises NotFinite otherwise."""
-    analysis = analyze_fan(fan)
-    if not analysis.verdict.finite:
-        raise NotFinite(f"verdict is infinite ({analysis.verdict.reason})")
-    return analysis.catalog

@@ -11,6 +11,8 @@ from unifan.coxspace import CoxPoint
 from unifan.families import build, parse_family
 from unifan.fan import Cone, Fan
 from unifan.monoid import contains, irreducibles
+from unifan.orbits import OrbitRecord, Verdict
+from unifan.pipeline import analyze_fan
 
 
 def family(spec: str):
@@ -98,6 +100,23 @@ P3_BLOWUP_CONES = [
     [2, 4, 7], [2, 7, 9], [2, 9, 10], [3, 4, 7], [3, 4, 11], [3, 5, 6],
     [3, 5, 12], [3, 6, 8], [3, 7, 9], [3, 9, 13], [3, 10, 13], [9, 10, 13],
 ]
+
+
+class NotFinite(Exception):
+    """Orbit catalog requested for a fan whose verdict is not finite."""
+
+
+def finiteness_verdict(fan: Fan, bilateral=None) -> Verdict:
+    """Decide whether a maximal unipotent subgroup has finitely many orbits."""
+    return analyze_fan(fan, bilateral=bilateral).verdict
+
+
+def orbit_catalog(fan: Fan) -> list[OrbitRecord]:
+    """The orbit records of a finite-verdict fan; raises NotFinite otherwise."""
+    analysis = analyze_fan(fan)
+    if not analysis.verdict.finite:
+        raise NotFinite(f"verdict is infinite ({analysis.verdict.reason})")
+    return analysis.catalog
 
 
 def cones_with_rayset(fan: Fan, ray_indices) -> list[Cone]:

@@ -10,10 +10,10 @@ from unifan.demazure import compute_precedence
 from unifan.families import FamilySpec, InvalidSpec, build, cross_check
 from unifan.linalg import rational_rank
 from unifan.orbits import enumerate_basic_subsets
-from unifan.pipeline import analyze_fan, finiteness_verdict
+from unifan.pipeline import analyze_fan
 from unifan.radiance import find_bilateral, iter_bilateral_structures
 
-from conftest import del_pezzo6, family, negative_surface
+from conftest import del_pezzo6, family, finiteness_verdict, negative_surface
 
 ORACLE_FANS = ["hirzebruch:1", "hirzebruch:2", "pn:2", "p1xp1", "wps:1,1,2", "wps:1,1,2,4"]
 

@@ -9,10 +9,10 @@ from unifan.families import (
     parse_family,
 )
 from unifan.fan import is_complete, validate_fan
-from unifan.pipeline import analyze_fan, finiteness_verdict
+from unifan.pipeline import analyze_fan
 from unifan.radiance import find_bilateral
 
-from conftest import del_pezzo6, family, negative_surface
+from conftest import del_pezzo6, family, finiteness_verdict, negative_surface
 
 
 class TestParseFamily:

@@ -16,12 +16,12 @@ from unifan.fan import (
     _complete_certificate,
     _pairwise_intersection_ok,
     is_complete,
+    ray_mask,
     validate_fan,
 )
 from unifan.linalg import feasible
 
-from conftest import RADIANT_FIXTURES, cones_with_rayset, family
-from test_random_fans import random_complete_surface
+from conftest import FAMILY_SPECS, RADIANT_FIXTURES, cones_with_rayset, family, random_surfaces
 
 HIRZ2_RAYS = [(1, 0), (0, 1), (-1, -2), (0, -1)]
 HIRZ2_CONES = [[0, 1], [1, 2], [2, 3], [3, 0]]
@@ -244,32 +244,71 @@ def suspended_double_wrap():
     return 3, rays, cones
 
 
+def reference_is_complete(fan) -> bool:
+    """Completeness via the ridge-pairing criterion.
+
+    A validated simplicial fan covers the ambient space exactly when all
+    maximal cones are full-dimensional, every ridge lies in exactly two of
+    them, and the ridge-adjacency graph is connected. The fan must already
+    satisfy the pairwise-intersection axiom.
+    """
+    n = fan.dim
+    if not fan.max_cones:
+        return False
+    if any(len(c) != n for c in fan.max_cones):
+        return False
+    ridge_owners: dict[tuple, list[int]] = {}
+    for ci, cone in enumerate(fan.max_cones):
+        for ridge in combinations(cone.ray_indices, n - 1):
+            ridge_owners.setdefault(ridge, []).append(ci)
+    if any(len(owners) != 2 for owners in ridge_owners.values()):
+        return False
+    adjacency = {ci: set() for ci in range(len(fan.max_cones))}
+    for a, b in ridge_owners.values():
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for nb in adjacency[stack.pop()]:
+            if nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    return len(seen) == len(fan.max_cones)
+
+
 def lp_verdict(dim, rays, cones):
     """The LP path: pairwise intersections, then the ridge-pairing test."""
     cones = [Cone(tuple(sorted(c))) for c in cones]
     if not all(_pairwise_intersection_ok(dim, rays, a, b) for a, b in combinations(cones, 2)):
         return False
-    return is_complete(validate_fan(dim, rays, [c.ray_indices for c in cones]))
+    return reference_is_complete(validate_fan(dim, rays, [c.ray_indices for c in cones]))
 
 
 def certificate(dim, rays, cones):
     return _complete_certificate(dim, rays, sorted(Cone(tuple(sorted(c))) for c in cones))
 
 
-def _random_surfaces():
-    rng = random.Random(321)
-    return [random_complete_surface(rng, extra_rays=rng.randint(0, 5)) for _ in range(30)]
-
-
 def _data(fan):
     return fan.dim, fan.ray_vectors(), [list(c.ray_indices) for c in fan.max_cones]
+
+
+def _truncations(fan):
+    """The fan with one maximal cone dropped, once per maximal cone. Rays
+    left in no cone are dropped and the others renumbered in order."""
+    dim, rays, cones = _data(fan)
+    for drop in range(len(cones)):
+        rest = cones[:drop] + cones[drop + 1 :]
+        used = sorted({i for c in rest for i in c})
+        new = {old: k for k, old in enumerate(used)}
+        yield validate_fan(dim, [rays[i] for i in used], [[new[i] for i in c] for c in rest])
 
 
 class TestCompleteCertificate:
     """The integer certificate against the pairwise-LP path it short-cuts."""
 
     def test_random_surfaces_and_truncations(self):
-        for fan in _random_surfaces():
+        for fan in random_surfaces():
             dim, rays, cones = _data(fan)
             assert certificate(dim, rays, cones) is lp_verdict(dim, rays, cones) is True
             for drop in range(len(cones)):
@@ -334,16 +373,26 @@ class TestNoLpForCompleteFans:
     """Validating a complete fan solves no LP; a rejected one still does."""
 
     @pytest.mark.parametrize(
-        "factors, num_cones", [([P1] * 7, 2**7), ([DP6] * 3, 6**3)], ids=["P1^7", "dP6^3"]
+        "factors, num_cones, require_complete",
+        [
+            ([P1] * 7, 2**7, True),
+            ([DP6] * 3, 6**3, True),
+            ([P1] * 7, 2**7, False),
+            ([DP6] * 3, 6**3, False),
+        ],
+        ids=["P1^7", "dP6^3", "P1^7-completeness-not-required", "dP6^3-completeness-not-required"],
     )
-    def test_valid_complete_fan_calls_feasible_zero_times(self, monkeypatch, factors, num_cones):
+    def test_valid_complete_fan_calls_feasible_zero_times(
+        self, monkeypatch, factors, num_cones, require_complete
+    ):
         # raising on the first call fails fast: the LP path takes minutes on dP6^3
         def forbidden(system):
             raise AssertionError("feasible was called")
 
         monkeypatch.setattr(fan_module, "feasible", forbidden)
-        fan = validate_fan(*product_data(factors), require_complete=True)
+        fan = validate_fan(*product_data(factors), require_complete=require_complete)
         assert len(fan.max_cones) == num_cones
+        assert is_complete(fan)
 
     def test_double_wrap_reaches_lp_fallback(self, monkeypatch):
         calls = []
@@ -356,3 +405,64 @@ class TestNoLpForCompleteFans:
         with pytest.raises(FanConditionViolated):
             validate_fan(2, DOUBLE_WRAP_RAYS, DOUBLE_WRAP_CONES, require_complete=True)
         assert calls
+
+
+class TestIsCompleteAgainstReference:
+    """`is_complete` is the certificate; the ridge-graph walk is the reference."""
+
+    def _check(self, fans):
+        for fan in fans:
+            assert is_complete(fan) is reference_is_complete(fan) is True
+            for truncated in _truncations(fan):
+                assert is_complete(truncated) is reference_is_complete(truncated) is False
+
+    def test_family_specs(self):
+        self._check(family(spec) for spec in FAMILY_SPECS)
+
+    def test_fixtures_and_random_surfaces(self):
+        self._check([family(spec) for spec in sorted(RADIANT_FIXTURES.values())] + random_surfaces())
+
+    def test_products(self):
+        self._check(validate_fan(*product_data(f)) for f in ([P1] * 3, [P2, P1], [DP6]))
+        for factors in ([P1] * 7, [DP6] * 3):
+            fan = validate_fan(*product_data(factors))
+            assert is_complete(fan) is reference_is_complete(fan) is True
+
+    def test_small_incomplete_fans(self):
+        for fan in (orthant_fan(), validate_fan(1, [(1,)], [[0]])):
+            assert is_complete(fan) is reference_is_complete(fan) is False
+        assert is_complete(line_fan()) is reference_is_complete(line_fan()) is True
+
+    def test_double_wrap_without_require_complete_keeps_lp_error(self):
+        with pytest.raises(FanConditionViolated) as info:
+            validate_fan(2, DOUBLE_WRAP_RAYS, DOUBLE_WRAP_CONES)
+        assert str(info.value) == "cones (0, 1) and (2, 3) overlap beyond a common face"
+
+    def test_truncated_fan_validates_without_require_complete(self):
+        fan = validate_fan(2, HIRZ2_RAYS, HIRZ2_CONES[1:])
+        assert len(fan.max_cones) == 3
+        assert not is_complete(fan)
+
+
+class TestFaceIndex:
+    """`cone_index` maps each cone's ray mask to its position in `all_cones`."""
+
+    def test_ray_mask(self):
+        assert ray_mask(()) == 0 and ray_mask((0, 2, 5)) == 0b100101 == ray_mask({5, 0, 2})
+
+    def test_index_matches_all_cones(self):
+        fans = [family(spec) for spec in sorted(RADIANT_FIXTURES.values())] + random_surfaces()
+        for fan in fans:
+            expected = [(ray_mask(c.ray_indices), i) for i, c in enumerate(fan.all_cones)]
+            assert list(fan.cone_index.items()) == expected
+
+    def test_has_cone_reads_the_index(self, f2):
+        assert f2.has_cone({3, 2}) and f2.has_cone(()) and f2.has_cone([0])
+        assert not f2.has_cone((0, 2)) and not f2.has_cone((0, 1, 2))
+
+    def test_index_is_not_part_of_equality_hash_or_repr(self):
+        a = validate_fan(2, HIRZ2_RAYS, HIRZ2_CONES)
+        b = validate_fan(2, HIRZ2_RAYS, list(reversed(HIRZ2_CONES)))
+        assert a == b and hash(a) == hash(b)
+        assert a.cone_index is not b.cone_index
+        assert "cone_index" not in repr(a)

@@ -94,3 +94,38 @@ def test_linalg_is_fraction_free_and_scans_no_box():
         if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
     }
     assert "itertools.product" not in names | qualified
+
+
+# Top-level functions kept in `src` without a caller there, with the reason.
+UNREFERENCED_ALLOWED = {
+    # perfbench traces `monoid.contains` by name, so moving it changes the benchmark
+    ("monoid", "contains"),
+}
+
+
+def test_every_top_level_function_is_referenced_from_src():
+    """A function that only tests call belongs in the tests. A reference is a
+    name, an attribute or an imported name outside the function's own body."""
+    referenced = set()
+    for tree in MODULES.values():
+        for top in tree.body:
+            own = top.name if isinstance(top, ast.FunctionDef) else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.ImportFrom):
+                    referenced.update(a.name for a in node.names)
+                    continue
+                else:
+                    continue
+                if name != own:
+                    referenced.add(name)
+    unreferenced = {
+        (module, top.name)
+        for module, tree in MODULES.items()
+        for top in tree.body
+        if isinstance(top, ast.FunctionDef) and top.name not in referenced
+    }
+    assert unreferenced == UNREFERENCED_ALLOWED

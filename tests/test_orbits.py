@@ -13,22 +13,20 @@ from unifan.classgroup import radiant_classes
 from unifan.demazure import compute_precedence
 from unifan.linalg import q_independent, rational_rank
 from unifan.monoid import gamma_of_rayset
-from unifan.orbits import (
-    enumerate_basic_subsets,
-    in_x_hat,
-    non_free_witness,
-    with_membership,
-)
-from unifan.pipeline import NotFinite, analyze_fan, finiteness_verdict, orbit_catalog
+from unifan.orbits import enumerate_basic_subsets, non_free_witness, with_membership
+from unifan.pipeline import analyze_fan
 from unifan.radiance import find_bilateral, iter_bilateral_structures
 
 from conftest import (
     P3_BLOWUP_CONES,
     P3_BLOWUP_RAYS,
     RADIANT_FIXTURES,
+    NotFinite,
     family,
+    finiteness_verdict,
     minimal_basic,
     negative_surface,
+    orbit_catalog,
     p1_power,
     pairwise_irreducibles,
     random_surfaces,
@@ -83,13 +81,13 @@ class TestEnumerateBasicSubsets:
 
 class TestInXHat:
     def test_negative_pair(self, f2):
-        assert in_x_hat(f2, (2, 3))
+        assert f2.has_cone((2, 3))
 
     def test_opposite_rays(self, f2):
-        assert not in_x_hat(f2, (1, 3))
+        assert not f2.has_cone((1, 3))
 
     def test_empty(self, f2):
-        assert in_x_hat(f2, ())
+        assert f2.has_cone(())
 
 
 class TestMinimalBasic:
