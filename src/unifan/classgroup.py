@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fan import Fan
-from .linalg import IntMat, IntVec, InvariantViolation, smith_normal_form
+from .linalg import IntVec, InvariantViolation, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,8 @@ def class_group(fan: Fan) -> ClassGroupInfo:
     The Smith form of the (num_rays x dim) matrix of primitive ray vectors
     gives the free rank and torsion invariants of the class group.
     """
-    mat = IntMat.from_rows(fan.ray_vectors())
-    _, s, _ = smith_normal_form(mat)
-    diag = [s.entry(i, i) for i in range(min(s.rows, s.cols))]
+    _, s, _ = smith_normal_form(fan.ray_vectors())
+    diag = [s[i][i] for i in range(min(fan.num_rays, fan.dim))]
     rank = sum(1 for x in diag if x != 0)
     return ClassGroupInfo(
         free_rank=fan.num_rays - rank,
@@ -62,7 +61,7 @@ def radiant_classes(fan: Fan, bilateral) -> ClassTable:
         classes[tau] = tuple(1 if t == j else 0 for t in range(k))
     negative_vectors = [fan.ray_vector(tau) for tau in bilateral.negative]
     for i, eps in enumerate(bilateral.positive):
-        row = dual.row(i)
+        row = dual[i]
         cls = tuple(-sum(a * b for a, b in zip(row, nj)) for nj in negative_vectors)
         if any(x < 0 for x in cls):
             raise InvariantViolation(f"class of ray {eps} has a negative entry: {cls}")
@@ -73,10 +72,10 @@ def radiant_classes(fan: Fan, bilateral) -> ClassTable:
     n = fan.dim
     for coord in range(n):
         total = [0] * k
-        for ray in fan.rays:
-            pairing = ray.primitive[coord]
+        for r, primitive in enumerate(fan.rays):
+            pairing = primitive[coord]
             for t in range(k):
-                total[t] += pairing * classes[ray.index][t]
+                total[t] += pairing * classes[r][t]
         if any(total):
             raise InvariantViolation("ray classes do not satisfy the defining relations")
 

@@ -172,7 +172,7 @@ def build_report(analysis: FanAnalysis, include_orbits, include_roots, check, se
         report["bilateral"] = {
             "positive": list(analysis.bilateral.positive),
             "negative": list(analysis.bilateral.negative),
-            "dual_basis": analysis.bilateral.dual_basis.to_rows(),
+            "dual_basis": analysis.bilateral.dual_basis,
         }
         report["classes"] = [list(c) for c in analysis.classes.classes]
         report["v"] = list(analysis.choice.v)

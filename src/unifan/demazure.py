@@ -48,9 +48,6 @@ class PrecedenceRelation:
 
     pairs: frozenset[tuple[int, int]]
 
-    def precedes(self, a: int, b: int) -> bool:
-        return (a, b) in self.pairs
-
 
 def enumerate_roots(fan: Fan) -> list[DemazureRoot]:
     """All Demazure roots of a complete fan, sorted by (ray, e).

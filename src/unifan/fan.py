@@ -34,12 +34,6 @@ class NotComplete(FanError):
     pass
 
 
-@dataclass(frozen=True)
-class Ray:
-    index: int
-    primitive: IntVec
-
-
 @dataclass(frozen=True, order=True)
 class Cone:
     """A cone of a simplicial fan, stored as its sorted ray-index set."""
@@ -75,10 +69,11 @@ def ray_mask(rays) -> int:
 
 @dataclass(frozen=True)
 class Fan:
-    """A validated simplicial fan; geometry always derives from `rays`."""
+    """A validated simplicial fan; geometry always derives from `rays`, the
+    primitive vector of ray i at position i."""
 
     dim: int
-    rays: tuple[Ray, ...]
+    rays: tuple[IntVec, ...]
     max_cones: tuple[Cone, ...]
     all_cones: tuple[Cone, ...]
     # ray mask of each cone -> its position in `all_cones`, in that order
@@ -89,13 +84,10 @@ class Fan:
         return len(self.rays)
 
     def ray_vector(self, i: int) -> IntVec:
-        return self.rays[i].primitive
+        return self.rays[i]
 
     def ray_vectors(self) -> list[IntVec]:
-        return [r.primitive for r in self.rays]
-
-    def has_cone(self, ray_indices) -> bool:
-        return ray_mask(ray_indices) in self.cone_index
+        return list(self.rays)
 
 
 def _pairwise_intersection_ok(fan_dim, rays, c1: Cone, c2: Cone) -> bool:
@@ -244,7 +236,7 @@ def validate_fan(dim, rays, max_cones, require_complete: bool = False) -> Fan:
 
     fan = Fan(
         dim=dim,
-        rays=tuple(Ray(i, v) for i, v in enumerate(ray_vecs)),
+        rays=tuple(ray_vecs),
         max_cones=tuple(maximal),
         all_cones=all_cones,
         cone_index={ray_mask(c.ray_indices): i for i, c in enumerate(all_cones)},

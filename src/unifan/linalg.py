@@ -6,6 +6,9 @@ provides Smith normal forms, unimodular inversion, rational rank,
 nonnegative integer feasibility, and, for linear systems, rational
 feasibility and bounded lattice-point enumeration over one chain of exact
 integer projections (equality substitution, then Fourier-Motzkin).
+
+A vector is a tuple of ints and a matrix is the tuple of its row tuples;
+the functions here accept any sequence of rows.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 IntVec = tuple[int, ...]
+IntMat = tuple[IntVec, ...]
 
 
 class NotUnimodular(Exception):
@@ -40,89 +44,18 @@ def _gcd_many(values) -> int:
     return g
 
 
-class IntMat:
-    """Dense integer matrix, row-major, exact arbitrary-precision entries."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries) -> None:
-        entries = tuple(int(x) for x in entries)
-        if rows < 0 or cols < 0 or len(entries) != rows * cols:
-            raise ValueError("entry count does not match matrix shape")
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
-
-    @classmethod
-    def from_rows(cls, rows_data) -> "IntMat":
-        rows_data = [tuple(int(x) for x in row) for row in rows_data]
-        if not rows_data:
-            return cls(0, 0, ())
-        cols = len(rows_data[0])
-        if any(len(row) != cols for row in rows_data):
-            raise ValueError("ragged rows")
-        return cls(len(rows_data), cols, [x for row in rows_data for x in row])
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMat":
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
-
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> IntVec:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def to_rows(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "IntMat":
-        return IntMat(
-            self.cols,
-            self.rows,
-            [self.entry(i, j) for j in range(self.cols) for i in range(self.rows)],
-        )
-
-    def __matmul__(self, other: "IntMat") -> "IntMat":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[t] * other.entry(t, j) for t in range(self.cols)))
-        return IntMat(self.rows, other.cols, out)
-
-    def mul_vec(self, v) -> IntVec:
-        if len(v) != self.cols:
-            raise ValueError("shape mismatch in matrix-vector product")
-        return tuple(sum(self.entry(i, j) * v[j] for j in range(self.cols)) for i in range(self.rows))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IntMat)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self) -> str:
-        return f"IntMat({self.to_rows()!r})"
-
-
 def smith_normal_form(a: IntMat) -> tuple[IntMat, IntMat, IntMat]:
     """Return (U, S, V) with U*a*V = S in Smith normal form.
 
     U and V are unimodular; S is diagonal with nonnegative invariant
     factors satisfying d1 | d2 | ... .
     """
-    m, n = a.rows, a.cols
-    s = a.to_rows()
-    u = IntMat.identity(m).to_rows()
-    v = IntMat.identity(n).to_rows()
+    s = [list(row) for row in a]
+    m, n = len(s), len(s[0]) if s else 0
+    if any(len(row) != n for row in s):
+        raise ValueError("ragged rows")
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def swap_rows(i, j):
         s[i], s[j] = s[j], s[i]
@@ -202,7 +135,7 @@ def smith_normal_form(a: IntMat) -> tuple[IntMat, IntMat, IntMat]:
         if s[i][i] < 0:
             negate_row(i)
 
-    return IntMat.from_rows(u), IntMat.from_rows(s), IntMat.from_rows(v)
+    return tuple(map(tuple, u)), tuple(map(tuple, s)), tuple(map(tuple, v))
 
 
 def invert_unimodular(b: IntMat) -> IntMat:
@@ -211,13 +144,15 @@ def invert_unimodular(b: IntMat) -> IntMat:
     Raises NotUnimodular when the determinant is not a unit; the rows of
     the inverse's transpose are the dual basis of b's rows.
     """
-    if b.rows != b.cols:
+    if any(len(row) != len(b) for row in b):
         raise ValueError("matrix is not square")
     u, s, v = smith_normal_form(b)
-    if s != IntMat.identity(b.rows):
-        raise NotUnimodular(f"matrix has invariant factors {[s.entry(i, i) for i in range(b.rows)]}")
+    factors = [s[i][i] for i in range(len(b))]
+    if any(x != 1 for x in factors):
+        raise NotUnimodular(f"matrix has invariant factors {factors}")
     # u*b*v = 1  =>  b^{-1} = v*u
-    return v @ u
+    u_cols = tuple(zip(*u))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in u_cols) for row in v)
 
 
 def _bareiss(rows) -> tuple[int, int]:

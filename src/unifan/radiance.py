@@ -13,8 +13,8 @@ from .linalg import IntMat, NotUnimodular, invert_unimodular
 @dataclass(frozen=True)
 class BilateralStructure:
     """Ordered positive rays forming a lattice basis, the negative rays, and
-    the dual basis (rows pair to the Kronecker delta against the positive
-    primitives)."""
+    the dual basis: the tuple of its rows, where row i pairs to 1 with the
+    i-th positive primitive and to 0 with the others."""
 
     positive: tuple[int, ...]
     negative: tuple[int, ...]
@@ -22,7 +22,7 @@ class BilateralStructure:
 
     def coordinates(self, vector) -> tuple[int, ...]:
         """Coordinates of a lattice vector in the positive-ray basis."""
-        return self.dual_basis.mul_vec(vector)
+        return tuple(sum(a * b for a, b in zip(row, vector)) for row in self.dual_basis)
 
 
 def iter_bilateral_structures(fan: Fan) -> Iterator[BilateralStructure]:
@@ -45,18 +45,20 @@ def iter_bilateral_structures(fan: Fan) -> Iterator[BilateralStructure]:
         combo = cone.ray_indices
         if len(combo) != n:
             continue
-        basis = IntMat.from_rows([fan.ray_vector(i) for i in combo])
         try:
-            dual = invert_unimodular(basis.transpose())
+            dual = invert_unimodular(tuple(zip(*(fan.ray_vector(i) for i in combo))))
         except NotUnimodular:
             continue
-        others = [i for i in indices if i not in combo]
+        candidate = BilateralStructure(
+            positive=combo,
+            negative=tuple(i for i in indices if i not in combo),
+            dual_basis=dual,
+        )
         if all(
-            all(c <= 0 for c in dual.mul_vec(fan.ray_vector(i))) for i in others
+            all(c <= 0 for c in candidate.coordinates(fan.ray_vector(i)))
+            for i in candidate.negative
         ):
-            yield BilateralStructure(
-                positive=combo, negative=tuple(others), dual_basis=dual
-            )
+            yield candidate
 
 
 def find_bilateral(fan: Fan) -> BilateralStructure | None:

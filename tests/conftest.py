@@ -9,7 +9,7 @@ import pytest
 from unifan import validate_fan
 from unifan.coxspace import CoxPoint
 from unifan.families import build, parse_family
-from unifan.fan import Cone, Fan
+from unifan.fan import Cone, Fan, ray_mask
 from unifan.monoid import contains, irreducibles
 from unifan.orbits import OrbitRecord, Verdict
 from unifan.pipeline import analyze_fan
@@ -119,6 +119,14 @@ def orbit_catalog(fan: Fan) -> list[OrbitRecord]:
     return analysis.catalog
 
 
+def has_cone(fan: Fan, ray_indices) -> bool:
+    return ray_mask(ray_indices) in fan.cone_index
+
+
+def precedes(precedence, a: int, b: int) -> bool:
+    return (a, b) in precedence.pairs
+
+
 def cones_with_rayset(fan: Fan, ray_indices) -> list[Cone]:
     """All fan cones containing the given rays, sorted by size then lex."""
     wanted = set(ray_indices)
@@ -139,7 +147,7 @@ def t_orbit_of(point: CoxPoint) -> Cone | None:
     cone of the fan, so it sits outside every quotient chart.
     """
     pattern = tuple(sorted(point.zero_pattern()))
-    if point.fan.has_cone(pattern):
+    if has_cone(point.fan, pattern):
         return Cone(pattern)
     return None
 

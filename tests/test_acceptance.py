@@ -13,7 +13,7 @@ from unifan.orbits import enumerate_basic_subsets
 from unifan.pipeline import analyze_fan
 from unifan.radiance import find_bilateral, iter_bilateral_structures
 
-from conftest import del_pezzo6, family, finiteness_verdict, negative_surface
+from conftest import del_pezzo6, family, finiteness_verdict, negative_surface, precedes
 
 ORACLE_FANS = ["hirzebruch:1", "hirzebruch:2", "pn:2", "p1xp1", "wps:1,1,2", "wps:1,1,2,4"]
 
@@ -282,7 +282,7 @@ def test_criterion_7c_action_and_root_oracles():
                 constancy_trials += 1
 
         # root characterizations of the precedence order
-        duals = [bilateral.dual_basis.row(i) for i in range(fan.dim)]
+        duals = bilateral.dual_basis
         root_index = {(r.e, r.distinguished_ray): r for r in analysis.roots}
 
         def pairing(e, vec):
@@ -305,7 +305,7 @@ def test_criterion_7c_action_and_root_oracles():
                     )
                 ]
                 assert len(matches) <= 1
-                assert precedence.precedes(a, b) == bool(matches)
+                assert precedes(precedence, a, b) == bool(matches)
                 pair_checks += 1
         for i, eps_i in enumerate(bilateral.positive):
             for j, eps_j in enumerate(bilateral.positive):
@@ -321,7 +321,7 @@ def test_criterion_7c_action_and_root_oracles():
                         for tau in bilateral.negative
                     )
                 )
-                assert precedence.precedes(eps_i, eps_j) == holds
+                assert precedes(precedence, eps_i, eps_j) == holds
         for tau in bilateral.negative:
             for j, eps_j in enumerate(bilateral.positive):
                 e = tuple(-x for x in duals[j])
@@ -336,7 +336,7 @@ def test_criterion_7c_action_and_root_oracles():
                         if other != tau
                     )
                 )
-                assert precedence.precedes(tau, eps_j) == holds
+                assert precedes(precedence, tau, eps_j) == holds
     check(
         "criterion 7c: action invariance and root characterizations (seeded)",
         trivial_trials >= 100 and constancy_trials >= 100 and pair_checks >= 50,

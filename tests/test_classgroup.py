@@ -2,7 +2,7 @@ import pytest
 
 from unifan.classgroup import class_group, radiant_classes
 from unifan.fan import validate_fan
-from unifan.linalg import IntMat, InvariantViolation
+from unifan.linalg import InvariantViolation
 from unifan.radiance import BilateralStructure, find_bilateral
 
 from conftest import RADIANT_FIXTURES, family
@@ -71,9 +71,9 @@ class TestRadiantClasses:
         table = radiant_classes(fan, find_bilateral(fan))
         for coord in range(fan.dim):
             total = [0] * table.k
-            for ray in fan.rays:
+            for r, primitive in enumerate(fan.rays):
                 for t in range(table.k):
-                    total[t] += ray.primitive[coord] * table.class_of(ray.index)[t]
+                    total[t] += primitive[coord] * table.class_of(r)[t]
             assert not any(total)
 
     @pytest.mark.parametrize("spec", sorted(RADIANT_FIXTURES.values()))
@@ -95,14 +95,14 @@ class TestRadiantClassesInvariants:
 
     def test_negative_entry(self, p2):
         bogus = BilateralStructure(
-            positive=(0, 1), negative=(2,), dual_basis=IntMat.from_rows([[-1, 0], [0, -1]])
+            positive=(0, 1), negative=(2,), dual_basis=((-1, 0), (0, -1))
         )
         with pytest.raises(InvariantViolation, match="negative entry"):
             radiant_classes(p2, bogus)
 
     def test_defining_relations_fail(self, p2):
         bogus = BilateralStructure(
-            positive=(0, 1), negative=(2,), dual_basis=IntMat.from_rows([[1, 1], [0, 1]])
+            positive=(0, 1), negative=(2,), dual_basis=((1, 1), (0, 1))
         )
         with pytest.raises(InvariantViolation, match="defining relations"):
             radiant_classes(p2, bogus)

@@ -6,7 +6,6 @@ import pytest
 
 from unifan.cli import main
 from unifan.fan import validate_fan
-from unifan.linalg import IntMat
 from unifan.radiance import BilateralStructure
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -112,7 +111,7 @@ class TestAnalyze:
 
     def test_class_table_invariant_is_an_error_object(self, capsys, monkeypatch):
         bogus = BilateralStructure(
-            positive=(0, 1), negative=(2,), dual_basis=IntMat.from_rows([[-1, 0], [0, -1]])
+            positive=(0, 1), negative=(2,), dual_basis=((-1, 0), (0, -1))
         )
         monkeypatch.setattr("unifan.pipeline.find_bilateral", lambda fan: bogus)
         code, out = run(capsys, "analyze", "--family", "pn:2", "--format", "json")

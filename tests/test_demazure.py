@@ -13,7 +13,7 @@ from unifan.demazure import (
 from unifan.linalg import IntVec, LinearSystem, lattice_points
 from unifan.radiance import find_bilateral
 
-from conftest import FAMILY_SPECS, RADIANT_FIXTURES, family, random_surfaces
+from conftest import FAMILY_SPECS, RADIANT_FIXTURES, family, precedes, random_surfaces
 
 
 def brute_force_roots(fan, box=8):
@@ -185,7 +185,7 @@ class TestChooseV:
     def test_choice_invariants(self, spec):
         fan = family(spec)
         roots, choice, bilateral = analyzed_roots(fan)
-        duals = [bilateral.dual_basis.row(i) for i in range(fan.dim)]
+        duals = bilateral.dual_basis
         chain = [pairing(d, choice.v) for d in duals]
         assert chain[0] < 0
         assert all(a > b for a, b in zip(chain, chain[1:]))
@@ -259,7 +259,7 @@ class TestRootCharacterizations:
                     )
                 ]
                 assert len(matches) <= 1
-                assert prec.precedes(a, b) == (len(matches) == 1)
+                assert precedes(prec, a, b) == (len(matches) == 1)
                 if matches:
                     assert matches[0].semisimple
 
@@ -269,7 +269,7 @@ class TestRootCharacterizations:
         roots, _, bilateral = analyzed_roots(fan)
         prec = compute_precedence(bilateral, radiant_classes(fan, bilateral))
         root_index = {(r.e, r.distinguished_ray): r for r in roots}
-        duals = [bilateral.dual_basis.row(i) for i in range(fan.dim)]
+        duals = bilateral.dual_basis
         for i, eps_i in enumerate(bilateral.positive):
             for j, eps_j in enumerate(bilateral.positive):
                 if i == j:
@@ -284,7 +284,7 @@ class TestRootCharacterizations:
                         for tau in bilateral.negative
                     )
                 )
-                assert prec.precedes(eps_i, eps_j) == holds
+                assert precedes(prec, eps_i, eps_j) == holds
 
     @pytest.mark.parametrize("spec", sorted(RADIANT_FIXTURES.values()))
     def test_negative_positive_characterization(self, spec):
@@ -292,7 +292,7 @@ class TestRootCharacterizations:
         roots, _, bilateral = analyzed_roots(fan)
         prec = compute_precedence(bilateral, radiant_classes(fan, bilateral))
         root_index = {(r.e, r.distinguished_ray): r for r in roots}
-        duals = [bilateral.dual_basis.row(i) for i in range(fan.dim)]
+        duals = bilateral.dual_basis
         for tau in bilateral.negative:
             for j, eps_j in enumerate(bilateral.positive):
                 e = tuple(-x for x in duals[j])
@@ -307,7 +307,7 @@ class TestRootCharacterizations:
                         if other != tau
                     )
                 )
-                assert prec.precedes(tau, eps_j) == holds
+                assert precedes(prec, tau, eps_j) == holds
 
 
 def monomial_count(target: int, weights) -> int:

@@ -2,6 +2,7 @@
 
 import ast
 import graphlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -96,36 +97,90 @@ def test_linalg_is_fraction_free_and_scans_no_box():
     assert "itertools.product" not in names | qualified
 
 
-# Top-level functions kept in `src` without a caller there, with the reason.
+# Functions and methods kept in `src` without a caller there, with the reason.
 UNREFERENCED_ALLOWED = {
     # perfbench traces `monoid.contains` by name, so moving it changes the benchmark
     ("monoid", "contains"),
 }
 
 
-def test_every_top_level_function_is_referenced_from_src():
-    """A function that only tests call belongs in the tests. A reference is a
-    name, an attribute or an imported name outside the function's own body."""
+def _referenced_names(tree) -> set[str]:
+    """Every name, attribute and imported name in a module, except those
+    inside the body of a function or method of the same name."""
     referenced = set()
-    for tree in MODULES.values():
-        for top in tree.body:
-            own = top.name if isinstance(top, ast.FunctionDef) else None
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                elif isinstance(node, ast.ImportFrom):
-                    referenced.update(a.name for a in node.names)
-                    continue
-                else:
-                    continue
-                if name != own:
-                    referenced.add(name)
+
+    def visit(node, own):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            own = own | {node.name}
+        if isinstance(node, ast.Name) and node.id not in own:
+            referenced.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in own:
+            referenced.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            referenced.update(a.name for a in node.names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, own)
+
+    visit(tree, frozenset())
+    return referenced
+
+
+def _defined_functions(tree):
+    """(name, qualified name) of each top-level function and of each public
+    method or property of a top-level class; dunders count as private."""
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef):
+            yield top.name, top.name
+        elif isinstance(top, ast.ClassDef):
+            for item in top.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield item.name, f"{top.name}.{item.name}"
+
+
+def test_every_function_and_method_is_referenced_from_src():
+    """A function, method or property that only tests call belongs in the
+    tests. A reference is a name, an attribute or an imported name outside
+    the definition's own body."""
+    referenced = set().union(*map(_referenced_names, MODULES.values()))
     unreferenced = {
-        (module, top.name)
+        (module, qualified)
         for module, tree in MODULES.items()
-        for top in tree.body
-        if isinstance(top, ast.FunctionDef) and top.name not in referenced
+        for name, qualified in _defined_functions(tree)
+        if name not in referenced
     }
     assert unreferenced == UNREFERENCED_ALLOWED
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_no_matrix_class(name):
+    """A matrix is the tuple of its row tuples; no module wraps it in a class."""
+    classes = [
+        node.name
+        for node in ast.walk(MODULES[name])
+        if isinstance(node, ast.ClassDef)
+        and (
+            node.name.endswith(("Mat", "Matrix"))
+            or any(
+                isinstance(item, ast.FunctionDef) and item.name == "__matmul__"
+                for item in node.body
+            )
+        )
+    ]
+    assert not classes, f"{name} defines matrix classes {classes}"
+
+
+def test_benchmark_traced_functions_exist():
+    """perfbench wraps these functions by name; deleting or renaming one
+    breaks `perfbench/run.py --trace`."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"unifan.{module}.{function}"
+        for module, functions in tracing.LAYERS.items()
+        for function in functions
+        if not callable(getattr(importlib.import_module(f"unifan.{module}"), function, None))
+    ]
+    assert tracing.LAYERS
+    assert not missing, f"traced functions missing: {missing}"

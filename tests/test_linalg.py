@@ -7,7 +7,6 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from unifan.linalg import (
     DegenerateGenerator,
-    IntMat,
     LinearSystem,
     NotUnimodular,
     Unbounded,
@@ -22,50 +21,69 @@ from unifan.linalg import (
 )
 
 
-def sympy_det(mat: IntMat):
-    return sympy.Matrix(mat.to_rows()).det()
+def identity(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def random_matrix(rng, m, n, bound):
+    """An m x n matrix as row tuples, its entries drawn in row-major order."""
+    entries = [rng.randint(-bound, bound) for _ in range(m * n)]
+    return tuple(tuple(entries[i * n : (i + 1) * n]) for i in range(m))
+
+
+def is_row_tuple_matrix(mat) -> bool:
+    return type(mat) is tuple and all(
+        type(row) is tuple and all(type(x) is int for x in row) for row in mat
+    )
 
 
 class TestSmithNormalForm:
-    def test_identity(self):
-        a = IntMat.identity(2)
+    def check_identity(self, a):
+        """U·A·V == S with U and V unimodular, checked with sympy products."""
         u, s, v = smith_normal_form(a)
-        assert s == IntMat.identity(2)
-        assert u @ a @ v == s
+        U, S, V = sympy.Matrix(u), sympy.Matrix(s), sympy.Matrix(v)
+        assert U * sympy.Matrix(a) * V == S
+        assert abs(U.det()) == 1
+        assert abs(V.det()) == 1
+        return s
+
+    def test_identity(self):
+        assert self.check_identity(identity(2)) == identity(2)
 
     def test_diag_2_3(self):
-        a = IntMat.from_rows([[2, 0], [0, 3]])
-        u, s, v = smith_normal_form(a)
-        assert s == IntMat.from_rows([[1, 0], [0, 6]])
-        assert u @ a @ v == s
-        assert abs(sympy_det(u)) == 1
-        assert abs(sympy_det(v)) == 1
+        assert self.check_identity(((2, 0), (0, 3))) == ((1, 0), (0, 6))
 
     def test_weighted_projective_ray_matrix(self):
         # ray matrix of the weight-(1,1,2) fan: cokernel has rank one
-        a = IntMat.from_rows([[1, 0], [0, 1], [-1, -2]])
-        _, s, _ = smith_normal_form(a)
-        assert [s.entry(i, i) for i in range(2)] == [1, 1]
+        _, s, _ = smith_normal_form(((1, 0), (0, 1), (-1, -2)))
+        assert [s[i][i] for i in range(2)] == [1, 1]
+
+    def test_returns_tuples_of_int_tuples(self):
+        a = [[2, 4, 4], [-6, 6, 12]]
+        assert all(is_row_tuple_matrix(x) for x in smith_normal_form(a))
+        assert [len(x) for x in smith_normal_form(a)] == [2, 2, 3]
+        assert smith_normal_form(()) == ((), (), ())
+
+    def test_ragged_rows(self):
+        with pytest.raises(ValueError, match="ragged rows"):
+            smith_normal_form(((1, 0), (1,)))
 
     def test_random_matrices(self):
         rng = random.Random(20240811)
         for _ in range(200):
             m = rng.randint(1, 4)
             n = rng.randint(1, 4)
-            a = IntMat(m, n, [rng.randint(-9, 9) for _ in range(m * n)])
-            u, s, v = smith_normal_form(a)
-            assert u @ a @ v == s
-            assert abs(sympy_det(u)) == 1
-            assert abs(sympy_det(v)) == 1
-            diag = [s.entry(i, i) for i in range(min(m, n))]
+            a = random_matrix(rng, m, n, 9)
+            s = self.check_identity(a)
+            diag = [s[i][i] for i in range(min(m, n))]
             assert all(x >= 0 for x in diag)
             for x, y in zip(diag, diag[1:]):
                 assert (x == 0 and y == 0) or (x != 0 and y % x == 0)
             for i in range(m):
                 for j in range(n):
                     if i != j:
-                        assert s.entry(i, j) == 0
-            expected = sympy_snf(sympy.Matrix(a.to_rows()), domain=sympy.ZZ)
+                        assert s[i][j] == 0
+            expected = sympy_snf(sympy.Matrix(a), domain=sympy.ZZ)
             got = sorted(abs(x) for x in diag if x != 0)
             want = sorted(
                 abs(expected[i, i])
@@ -78,38 +96,41 @@ class TestSmithNormalForm:
         rng = random.Random(777)
         for _ in range(20):
             m, n = rng.randint(3, 6), rng.randint(3, 6)
-            a = IntMat(m, n, [rng.randint(-50, 50) for _ in range(m * n)])
-            u, s, v = smith_normal_form(a)
-            assert u @ a @ v == s
-            assert abs(sympy_det(u)) == 1
-            assert abs(sympy_det(v)) == 1
-            diag = [s.entry(i, i) for i in range(min(m, n))]
+            s = self.check_identity(random_matrix(rng, m, n, 50))
+            diag = [s[i][i] for i in range(min(m, n))]
             for x, y in zip(diag, diag[1:]):
                 assert (x == 0 and y == 0) or (x != 0 and y % x == 0)
 
 
 class TestInvertUnimodular:
     def test_identity(self):
-        assert invert_unimodular(IntMat.identity(3)) == IntMat.identity(3)
+        assert invert_unimodular(identity(3)) == identity(3)
 
     def test_shear(self):
-        b = IntMat.from_rows([[1, 1], [0, 1]])
-        assert invert_unimodular(b) == IntMat.from_rows([[1, -1], [0, 1]])
+        assert invert_unimodular(((1, 1), (0, 1))) == ((1, -1), (0, 1))
+
+    def test_returns_tuples_of_int_tuples(self):
+        assert is_row_tuple_matrix(invert_unimodular([[2, 1], [1, 1]]))
+        assert invert_unimodular(()) == ()
 
     def test_not_unimodular(self):
-        with pytest.raises(NotUnimodular):
-            invert_unimodular(IntMat.from_rows([[2, 0], [0, 1]]))
+        with pytest.raises(NotUnimodular, match=r"invariant factors \[1, 2\]"):
+            invert_unimodular(((2, 0), (0, 1)))
+
+    def test_not_square(self):
+        with pytest.raises(ValueError, match="matrix is not square"):
+            invert_unimodular(((1, 0, 0), (0, 1, 0)))
 
     def test_random_inverses(self):
         rng = random.Random(7)
         count = 0
         while count < 40:
             n = rng.randint(1, 4)
-            b = IntMat(n, n, [rng.randint(-5, 5) for _ in range(n * n)])
-            if abs(sympy_det(b)) != 1:
+            b = random_matrix(rng, n, n, 5)
+            if abs(sympy.Matrix(b).det()) != 1:
                 continue
             count += 1
-            assert invert_unimodular(b) @ b == IntMat.identity(n)
+            assert sympy.Matrix(invert_unimodular(b)) * sympy.Matrix(b) == sympy.eye(n)
 
 
 class TestIntDet:

@@ -35,6 +35,7 @@ from conftest import (
     family,
     negative_surface,
     p1_power,
+    precedes,
     random_surfaces,
 )
 
@@ -69,7 +70,7 @@ def _hat_of(classes: ClassTable, precedence: PrecedenceRelation, rays) -> tuple[
         if rho in member_set:
             continue
         outside = not in_span(classes.class_of(rho), gens)
-        if outside or any(precedence.precedes(rho, member) for member in rays):
+        if outside or any(precedes(precedence, rho, member) for member in rays):
             hat.append(rho)
     return tuple(hat)
 

@@ -24,6 +24,7 @@ from conftest import (
     NotFinite,
     family,
     finiteness_verdict,
+    has_cone,
     minimal_basic,
     negative_surface,
     orbit_catalog,
@@ -81,13 +82,13 @@ class TestEnumerateBasicSubsets:
 
 class TestInXHat:
     def test_negative_pair(self, f2):
-        assert f2.has_cone((2, 3))
+        assert has_cone(f2, (2, 3))
 
     def test_opposite_rays(self, f2):
-        assert not f2.has_cone((1, 3))
+        assert not has_cone(f2, (1, 3))
 
     def test_empty(self, f2):
-        assert f2.has_cone(())
+        assert has_cone(f2, ())
 
 
 class TestMinimalBasic:

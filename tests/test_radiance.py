@@ -1,6 +1,6 @@
 from itertools import combinations
 
-from unifan.linalg import IntMat, NotUnimodular, invert_unimodular
+from unifan.linalg import NotUnimodular, invert_unimodular
 from unifan.radiance import BilateralStructure, find_bilateral, iter_bilateral_structures
 
 from conftest import (
@@ -12,6 +12,10 @@ from conftest import (
 )
 
 
+def mul_vec(rows, vector):
+    return tuple(sum(a * b for a, b in zip(row, vector)) for row in rows)
+
+
 def reference_bilateral_structures(fan):
     """The search over every dim-subset of the rays, in lexicographic order,
     that the search over maximal cones replaced."""
@@ -19,14 +23,14 @@ def reference_bilateral_structures(fan):
     indices = range(fan.num_rays)
     out = []
     for combo in combinations(indices, n):
-        basis = IntMat.from_rows([fan.ray_vector(i) for i in combo])
+        basis = tuple(fan.ray_vector(i) for i in combo)
         try:
-            dual = invert_unimodular(basis.transpose())
+            dual = invert_unimodular(tuple(zip(*basis)))
         except NotUnimodular:
             continue
         others = [i for i in indices if i not in combo]
         if all(
-            all(c <= 0 for c in dual.mul_vec(fan.ray_vector(i))) for i in others
+            all(c <= 0 for c in mul_vec(dual, fan.ray_vector(i))) for i in others
         ):
             out.append(
                 BilateralStructure(positive=combo, negative=tuple(others), dual_basis=dual)
@@ -39,7 +43,7 @@ class TestFindBilateral:
         b = find_bilateral(f2)
         assert b.positive == (0, 1)
         assert b.negative == (2, 3)
-        assert b.dual_basis == IntMat.identity(2)
+        assert b.dual_basis == ((1, 0), (0, 1))
 
     def test_del_pezzo_absent(self):
         assert find_bilateral(del_pezzo6()) is None
