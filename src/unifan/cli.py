@@ -12,6 +12,7 @@ from .coxspace import apply_root, apply_torus, random_rational, random_stratum_p
 from .families import InvalidSpec, NotApplicable, build, cross_check, parse_family
 from .fan import Fan, FanError, _is_int, validate_fan
 from .linalg import InvariantViolation
+from .orbits import enumerate_basic_subsets, with_membership
 from .pipeline import FanAnalysis, analyze_fan
 
 _JSON_SAFE = 2**53 - 1
@@ -113,17 +114,30 @@ def _verdict_payload(verdict) -> dict:
 def _oracle_check(analysis: FanAnalysis, seed: int, trials: int = 30) -> dict:
     """Seeded spot-check of the action simulator against the analysis.
 
-    Verifies, on random stratum points, that unipotent root subgroups whose
-    distinguished ray sits in the member-or-hat set act trivially and that
-    the torus preserves zero patterns.
+    On a radiant fan all basic subsets are enumerated. On a finite verdict,
+    the (rays, hat) pairs of those inside the quotient domain must be the
+    catalog's, read off the maximal cones; otherwise `InvariantViolation` is
+    raised. Then, on random points of random strata, unipotent root
+    subgroups whose distinguished ray sits in the member-or-hat set must act
+    trivially and the torus must preserve zero patterns.
     """
-    if analysis.bilateral is None or analysis.basics is None:
+    if analysis.bilateral is None:
         return {"seed": seed, "trials": 0, "failures": 0}
+    basics = with_membership(
+        analysis.fan, enumerate_basic_subsets(analysis.classes, analysis.precedence)
+    )
+    if analysis.verdict.finite:
+        found = sorted((b.rays_mask, b.hat_mask) for b in basics if b.in_x_hat)
+        read = sorted((r.basic.rays_mask, r.basic.hat_mask) for r in analysis.catalog)
+        if found != read:
+            raise InvariantViolation(
+                "the orbit catalog differs from the basic subsets in the quotient domain"
+            )
     rng = random.Random(seed)
     in_u_roots = [r for r in analysis.roots if r.in_u]
     failures = 0
     for _ in range(trials):
-        basic = rng.choice(analysis.basics)
+        basic = rng.choice(basics)
         point = random_stratum_point(analysis.fan, basic, rng)
         frozen = set(basic.rays) | set(basic.hat)
         candidates = [r for r in in_u_roots if r.distinguished_ray in frozen]
@@ -316,16 +330,15 @@ def cmd_analyze(args) -> int:
     except (FanFileError, FanError, InvalidSpec, ValueError) as exc:
         return _emit_error(exc)
     try:
-        analysis = analyze_fan(fan)
+        report = build_report(
+            analyze_fan(fan),
+            include_orbits=args.orbits,
+            include_roots=args.roots,
+            check=args.check,
+            seed=args.seed,
+        )
     except InvariantViolation as exc:
         return _emit_error(exc)
-    report = build_report(
-        analysis,
-        include_orbits=args.orbits,
-        include_roots=args.roots,
-        check=args.check,
-        seed=args.seed,
-    )
     if args.format == "json":
         print(_json_text(report))
     else:

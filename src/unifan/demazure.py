@@ -38,7 +38,6 @@ class UnipotentChoice:
     positive-ray basis, pairing nonzero with every semisimple root."""
 
     v: IntVec
-    basis_coordinates: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,7 @@ def choose_v(fan: Fan, bilateral: BilateralStructure, roots) -> UnipotentChoice:
             sum(coords[i] * basis_vectors[i][t] for i in range(n)) for t in range(n)
         )
         if all(_dot(r.e, v) != 0 for r in semisimple):
-            return UnipotentChoice(v=v, basis_coordinates=coords)
+            return UnipotentChoice(v=v)
     raise InvariantViolation("unreachable")
 
 

@@ -44,12 +44,16 @@ def in_span(vector: IntVec, gens) -> bool:
     The trivial cases need no search: zero and the generators themselves are
     members, and a unit vector that is not a generator is not, since it is
     no sum of nonzero nonnegative vectors other than itself. Membership is
-    unit-absorbing: `solve_nonneg` searches only the non-unit generators.
+    unit-absorbing: a vector on the unit generators' coordinates is a member
+    with no search, and `solve_nonneg` searches only the non-unit generators.
     """
     if not any(vector) or vector in gens:
         return True
     if sum(vector) == 1 or not gens:
         return False
+    units = {g.index(1) for g in gens if sum(g) == 1}
+    if all(j in units for j, x in enumerate(vector) if x):
+        return True
     return solve_nonneg(vector, gens) is not None
 
 

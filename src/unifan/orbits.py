@@ -1,26 +1,32 @@
 """Basic subsets, their hat sets, the non-free witness, and the orbit
 catalog with its torus-orbit decomposition.
 
-Ray sets are integer bitmasks (bit r is ray r). Monoid membership needs no
-search per query. In a radiant class table every class that is not a unit
-vector belongs to a positive ray, so at most `dim` classes are not units;
-each distinct one gets a bit. A ray set S then has the key (U, q): U is the
-mask of the unit coordinates covered by its unit classes and q the mask of
-its non-unit classes. The antichain A(c, q) holds the minimal supports of the
-residuals c - sum a_i p_i >= 0 with every p_i in q, and c lies in the monoid
-of S iff some support in A(c, q) is a subset of U. Each A(c, q) is built on
-first use and kept for the rest of one `enumerate_basic_subsets` call.
+Ray sets are integer bitmasks (bit r is ray r). The catalog of a finite
+verdict is read off the maximal cones, one record each (`build_catalog`).
+All basic subsets are enumerated only to check that catalog against the
+search it replaced (`unifan analyze --check`).
+
+In the enumeration, monoid membership needs no search per query. In a
+radiant class table every class that is not a unit vector belongs to a
+positive ray, so at most `dim` classes are not units; each distinct one gets
+a bit. A ray set S then has the key (U, q): U is the mask of the unit
+coordinates covered by its unit classes and q the mask of its non-unit
+classes. The antichain A(c, q) holds the minimal supports of the residuals
+c - sum a_i p_i >= 0 with every p_i in q, and c lies in the monoid of S iff
+some support in A(c, q) is a subset of U. Each A(c, q) is built on first use
+and kept for the rest of one `enumerate_basic_subsets` call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache
 
 from .classgroup import ClassTable
 from .demazure import PrecedenceRelation
 from .fan import Cone, Fan, ray_mask
-from .linalg import IntVec, InvariantViolation, q_independent
-from .monoid import gamma_of_rayset, irreducibles, is_free
+from .linalg import IntVec, InvariantViolation
+from .monoid import gamma_of_rayset, in_span, irreducibles, is_free
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -34,16 +40,13 @@ class BasicSubset:
 
     The record holds two masks: bit r of `rays_mask` is set iff ray r is a
     member, bit r of `hat_mask` iff it is in the hat set. The hat set collects
-    the rays whose class falls outside the generated monoid (its antichain
-    has no support inside the set's unit mask), plus equal-class rays
-    preceding a member; the two sets never meet. `rays`, `hat` and
-    `classes_independent` are derived on access, so the rank test runs only
-    for the records that are read.
+    the rays whose class falls outside the generated monoid, plus equal-class
+    rays preceding a member; the two sets never meet. `rays` and `hat` are
+    derived on access.
     """
 
     rays_mask: int
     hat_mask: int
-    classes: ClassTable = field(repr=False)
     in_x_hat: bool | None = None
 
     @property
@@ -53,10 +56,6 @@ class BasicSubset:
     @property
     def hat(self) -> tuple[int, ...]:
         return _bits(self.hat_mask)
-
-    @property
-    def classes_independent(self) -> bool:
-        return q_independent([self.classes.class_of(r) for r in self.rays])
 
 
 @dataclass(frozen=True)
@@ -156,7 +155,7 @@ def enumerate_basic_subsets(
         for c, rays in carriers.items():
             if not member(c, units, q):
                 outside |= rays
-        out.append(BasicSubset(mask, (outside | preceding) & ~mask, classes))
+        out.append(BasicSubset(mask, (outside | preceding) & ~mask))
         candidates = outside >> start << start
         while candidates:
             x = candidates.bit_length() - 1
@@ -221,47 +220,51 @@ def non_free_witness(fan: Fan, classes: ClassTable):
     return None
 
 
-def _cones_between(cone_index: dict[int, int], num_rays: int, hat: int, members: int):
-    """Positions in `fan.all_cones` of the cones containing the hat set and
-    meeting no member, ascending. They are found by growing the hat one ray
-    at a time, in increasing order, among the face-closed cone masks."""
-    free_rays = _bits(((1 << num_rays) - 1) & ~(hat | members))
-    found = []
-    stack = [(hat, 0)]
-    while stack:
-        cone, start = stack.pop()
-        found.append(cone_index[cone])
-        for i in range(start, len(free_rays)):
-            bigger = cone | 1 << free_rays[i]
-            if bigger in cone_index:
-                stack.append((bigger, i + 1))
-    found.sort()
-    return found
+def build_catalog(
+    fan: Fan, classes: ClassTable, precedence: PrecedenceRelation
+) -> list[OrbitRecord]:
+    """The orbit catalog of a finite verdict, one record per maximal cone.
 
-
-def build_catalog(fan: Fan, basics, negative_rays) -> list[OrbitRecord]:
-    """One record per basic subset inside the quotient domain.
-
-    The torus orbits absorbed by a record are the cones wedged between the
-    hat set and the complement of the basic set; records are sorted by
-    descending dimension, then by ray set.
+    With finitely many orbits, each orbit is an affine space holding exactly
+    one torus-fixed point (Bialynicki-Birula), so the record of a maximal
+    cone sigma has the basic set S = rays - sigma. Its hat holds the rays of
+    sigma whose class lies outside the monoid of S's classes, plus the
+    precedence predecessors of S's members; it absorbs the torus orbits of
+    the faces of sigma that contain the hat. Records are sorted by
+    descending dimension, then by ray set. The records' cones must partition
+    the fan's cones, and the one open orbit must be the negative-ray stratum.
     """
-    records = [
-        OrbitRecord(
-            basic=b,
-            dimension=fan.dim - b.hat_mask.bit_count(),
-            t_orbit_cones=tuple(
-                fan.all_cones[i]
-                for i in _cones_between(fan.cone_index, fan.num_rays, b.hat_mask, b.rays_mask)
-            ),
+    full = (1 << fan.num_rays) - 1
+    span = cache(in_span)  # keyed by (class, generators), for this call only
+    records, claimed = [], []
+    for sigma in fan.max_cones:
+        inside = ray_mask(sigma.ray_indices)
+        members = full & ~inside
+        gens = tuple(sorted({classes.class_of(r) for r in _bits(members)}))
+        hat = ray_mask(a for a, b in precedence.pairs if members >> b & 1)
+        hat |= ray_mask(r for r in sigma.ray_indices if not span(classes.class_of(r), gens))
+        free = inside & ~hat
+        positions, sub = [], free
+        while True:  # every submask of `free`, once
+            positions.append(fan.cone_index[hat | sub])
+            if not sub:
+                break
+            sub = (sub - 1) & free
+        positions.sort()
+        claimed += positions
+        records.append(
+            OrbitRecord(
+                basic=BasicSubset(members, hat, in_x_hat=True),
+                dimension=fan.dim - hat.bit_count(),
+                t_orbit_cones=tuple(fan.all_cones[i] for i in positions),
+            )
         )
-        for b in basics
-        if b.in_x_hat
-    ]
+    if sorted(claimed) != list(range(len(fan.all_cones))):
+        raise InvariantViolation("the orbits' torus-orbit cones do not partition the fan")
     records.sort(key=lambda r: (-r.dimension, r.basic.rays))
     open_records = [r for r in records if not r.basic.hat_mask]
     if len(open_records) != 1:
         raise InvariantViolation(f"{len(open_records)} open orbits, expected one")
-    if open_records[0].basic.rays != tuple(sorted(negative_rays)):
+    if open_records[0].basic.rays != tuple(sorted(classes.negative)):
         raise InvariantViolation("the open orbit is not the negative-ray stratum")
     return records

@@ -16,16 +16,7 @@ from .demazure import (
     mark_membership,
 )
 from .fan import Fan
-from .linalg import InvariantViolation
-from .orbits import (
-    BasicSubset,
-    OrbitRecord,
-    Verdict,
-    build_catalog,
-    enumerate_basic_subsets,
-    non_free_witness,
-    with_membership,
-)
+from .orbits import OrbitRecord, Verdict, build_catalog, non_free_witness
 from .radiance import BilateralStructure, find_bilateral
 
 
@@ -38,7 +29,6 @@ class FanAnalysis:
     classes: ClassTable | None
     choice: UnipotentChoice | None
     precedence: PrecedenceRelation | None
-    basics: list[BasicSubset] | None
     verdict: Verdict
     catalog: list[OrbitRecord] | None
 
@@ -54,7 +44,7 @@ def analyze_fan(fan: Fan, bilateral: BilateralStructure | None = None) -> FanAna
     roots = enumerate_roots(fan)
     if bilateral is None:
         bilateral = find_bilateral(fan)
-    classes = choice = precedence = basics = catalog = None
+    classes = choice = precedence = catalog = None
     if bilateral is None:
         verdict = Verdict(finite=False, reason="not_radiant")
     else:
@@ -62,7 +52,6 @@ def analyze_fan(fan: Fan, bilateral: BilateralStructure | None = None) -> FanAna
         choice = choose_v(fan, bilateral, roots)
         roots = mark_membership(roots, choice)
         precedence = compute_precedence(bilateral, classes)
-        basics = with_membership(fan, enumerate_basic_subsets(classes, precedence))
         witness = non_free_witness(fan, classes)
         if witness is not None:
             cone, irr = witness
@@ -73,16 +62,8 @@ def analyze_fan(fan: Fan, bilateral: BilateralStructure | None = None) -> FanAna
                 witness_irreducibles=irr,
             )
         else:
-            qualifying = [b for b in basics if b.in_x_hat]
-            # Every stratum inside the quotient domain must be a single orbit
-            # here; a dependent class set would contradict the freeness just
-            # verified.
-            if not all(b.classes_independent for b in qualifying):
-                raise InvariantViolation(
-                    "a basic subset in the quotient domain has dependent classes"
-                )
-            catalog = build_catalog(fan, basics, classes.negative)
-            verdict = Verdict(finite=True, orbit_count=len(qualifying))
+            catalog = build_catalog(fan, classes, precedence)
+            verdict = Verdict(finite=True, orbit_count=len(catalog))
     return FanAnalysis(
         fan=fan,
         class_info=class_info,
@@ -91,7 +72,6 @@ def analyze_fan(fan: Fan, bilateral: BilateralStructure | None = None) -> FanAna
         classes=classes,
         choice=choice,
         precedence=precedence,
-        basics=basics,
         verdict=verdict,
         catalog=catalog,
     )

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 
 import pytest
@@ -10,6 +10,7 @@ from unifan import validate_fan
 from unifan.coxspace import CoxPoint
 from unifan.families import build, parse_family
 from unifan.fan import Cone, Fan, ray_mask
+from unifan.linalg import q_independent
 from unifan.monoid import contains, irreducibles
 from unifan.orbits import OrbitRecord, Verdict
 from unifan.pipeline import analyze_fan
@@ -102,6 +103,24 @@ P3_BLOWUP_CONES = [
 ]
 
 
+def radiant_p3_draw(steps: int):
+    """The draw `random.Random(f"x{steps}")` of `steps` radiant star
+    subdivisions of P3, made as the benchmark's blowups workload makes its
+    draws: each step replaces a random maximal cone whose ray sum has no
+    positive coordinate, never the cone of the unit vectors, by the cones
+    joining its facets to that sum. Returns (rays, cones) with 4 + steps rays."""
+    rng = random.Random(f"x{steps}")
+    rays = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]
+    cones = [list(c) for c in combinations(range(4), 3)]
+    for _ in range(steps):
+        sums = {tuple(c): [sum(rays[i][k] for i in c) for k in range(3)] for c in cones}
+        sigma = rng.choice([c for c in cones if c != [0, 1, 2] and max(sums[tuple(c)]) <= 0])
+        rays = rays + [sums[tuple(sigma)]]
+        kept = [c for c in cones if c != sigma]
+        cones = sorted(kept + [sorted([i for i in sigma if i != drop] + [len(rays) - 1]) for drop in sigma])
+    return rays, cones
+
+
 class NotFinite(Exception):
     """Orbit catalog requested for a fan whose verdict is not finite."""
 
@@ -150,6 +169,11 @@ def t_orbit_of(point: CoxPoint) -> Cone | None:
     if has_cone(point.fan, pattern):
         return Cone(pattern)
     return None
+
+
+def classes_independent(classes, basic) -> bool:
+    """Whether the classes of a basic subset's rays are Q-linearly independent."""
+    return q_independent([classes.class_of(r) for r in basic.rays])
 
 
 def in_stratum(point: CoxPoint, basic) -> bool:

@@ -13,7 +13,14 @@ from unifan.orbits import enumerate_basic_subsets
 from unifan.pipeline import analyze_fan
 from unifan.radiance import find_bilateral, iter_bilateral_structures
 
-from conftest import del_pezzo6, family, finiteness_verdict, negative_surface, precedes
+from conftest import (
+    classes_independent,
+    del_pezzo6,
+    family,
+    finiteness_verdict,
+    negative_surface,
+    precedes,
+)
 
 ORACLE_FANS = ["hirzebruch:1", "hirzebruch:2", "pn:2", "p1xp1", "wps:1,1,2", "wps:1,1,2,4"]
 
@@ -231,7 +238,7 @@ def test_criterion_7b_gale_duality():
             complement = [
                 fan.ray_vector(r) for r in range(fan.num_rays) if r not in b.rays
             ]
-            assert b.classes_independent == (rational_rank(complement) == fan.dim)
+            assert classes_independent(classes, b) == (rational_rank(complement) == fan.dim)
             checked += 1
     check(
         "criterion 7b: independence of classes matches complement span",
@@ -258,7 +265,8 @@ def test_criterion_7c_action_and_root_oracles():
         in_u = [r for r in analysis.roots if r.in_u]
 
         # trivial action on member-or-hat distinguished rays
-        for basic in analysis.basics:
+        basics = enumerate_basic_subsets(analysis.classes, analysis.precedence)
+        for basic in basics:
             frozen = set(basic.rays) | set(basic.hat)
             for root in in_u:
                 if root.distinguished_ray not in frozen:
@@ -270,7 +278,7 @@ def test_criterion_7c_action_and_root_oracles():
                     trivial_trials += 1
 
         # member coordinates constant under random unipotent-subgroup words
-        for basic in analysis.basics:
+        for basic in basics:
             for _ in range(5):
                 point = random_stratum_point(fan, basic, rng)
                 moved = point

@@ -6,6 +6,7 @@ import pytest
 
 from unifan.cli import main
 from unifan.fan import validate_fan
+from unifan.orbits import enumerate_basic_subsets
 from unifan.radiance import BilateralStructure
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -102,12 +103,29 @@ class TestAnalyze:
         assert out == expected
 
     def test_invariant_violation_is_an_error_object(self, capsys, monkeypatch):
-        monkeypatch.setattr("unifan.orbits.q_independent", lambda vectors: False)
+        monkeypatch.setattr("unifan.orbits.in_span", lambda vector, gens: False)
         code, out = run(capsys, "analyze", "--family", "pn:2", "--format", "json")
         assert code == 2
         error = json.loads(out)["error"]
         assert error["kind"] == "InvariantViolation"
-        assert "dependent classes" in error["message"]
+        assert "do not partition the fan" in error["message"]
+
+    def test_check_catalog_mismatch_is_an_error_object(self, capsys, monkeypatch):
+        """`--check` enumerates the basic subsets; one perturbed hat makes
+        them disagree with the catalog read off the maximal cones."""
+
+        def perturbed(classes, precedence):
+            basics = enumerate_basic_subsets(classes, precedence)
+            opening = next(b for b in basics if not b.hat_mask)
+            opening.hat_mask = 1 << min(set(range(len(classes.classes))) - set(opening.rays))
+            return basics
+
+        monkeypatch.setattr("unifan.cli.enumerate_basic_subsets", perturbed)
+        code, out = run(capsys, "analyze", "--family", "pn:2", "--format", "json", "--check")
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["kind"] == "InvariantViolation"
+        assert "catalog differs" in error["message"]
 
     def test_class_table_invariant_is_an_error_object(self, capsys, monkeypatch):
         bogus = BilateralStructure(

@@ -9,9 +9,17 @@ from unifan.coxspace import (
     random_rational,
     random_stratum_point,
 )
+from unifan.orbits import enumerate_basic_subsets
 from unifan.pipeline import analyze_fan
 
-from conftest import family, in_stratum, make_point, negative_surface, t_orbit_of
+from conftest import (
+    classes_independent,
+    family,
+    in_stratum,
+    make_point,
+    negative_surface,
+    t_orbit_of,
+)
 
 ORACLE_FIXTURES = ["hirzebruch:1", "hirzebruch:2", "pn:2", "p1xp1", "wps:1,1,2", "wps:1,1,2,4"]
 
@@ -104,7 +112,7 @@ class TestStratumInvariance:
         analysis = analyze_fan(fan)
         rng = random.Random(2025)
         trials = 0
-        for basic in analysis.basics:
+        for basic in enumerate_basic_subsets(analysis.classes, analysis.precedence):
             frozen = set(basic.rays) | set(basic.hat)
             roots = [
                 r
@@ -126,7 +134,7 @@ class TestStratumInvariance:
         analysis = analyze_fan(fan)
         rng = random.Random(77)
         in_u = [r for r in analysis.roots if r.in_u]
-        for basic in analysis.basics:
+        for basic in enumerate_basic_subsets(analysis.classes, analysis.precedence):
             for _ in range(10):
                 point = random_stratum_point(fan, basic, rng)
                 moved = point
@@ -143,7 +151,7 @@ class TestStratumInvariance:
         fan = family(spec)
         analysis = analyze_fan(fan)
         rng = random.Random(31)
-        for basic in analysis.basics:
+        for basic in enumerate_basic_subsets(analysis.classes, analysis.precedence):
             for _ in range(10):
                 point = random_stratum_point(fan, basic, rng)
                 t = [
@@ -198,8 +206,8 @@ class TestInvariantMonomial:
         rng = random.Random(404)
         dependent = [
             b
-            for b in analysis.basics
-            if b.rays and not b.classes_independent
+            for b in enumerate_basic_subsets(analysis.classes, analysis.precedence)
+            if b.rays and not classes_independent(analysis.classes, b)
         ]
         assert dependent, "fixture should have a dependent basic subset"
         in_u = [r for r in analysis.roots if r.in_u]

@@ -169,9 +169,9 @@ class TestRootRecordsAgainstReference:
 
 class TestChooseV:
     def test_hirzebruch_two_fan(self, f2):
-        _, choice, _ = analyzed_roots(f2)
+        _, choice, bilateral = analyzed_roots(f2)
         assert choice.v == (-1, -2)
-        assert choice.basis_coordinates == (-1, -2)
+        assert bilateral.coordinates(choice.v) == (-1, -2)
 
     def test_projective_plane(self, p2):
         _, choice, _ = analyzed_roots(p2)

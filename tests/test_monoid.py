@@ -112,6 +112,23 @@ class TestInSpan:
         assert in_span((3, 2), [(1, 0), (1, 1)])
         assert not in_span((3, 1), [(2, 0), (0, 1)])
 
+    def test_units_alone_need_no_search(self, monkeypatch):
+        def no_search(target, gens):
+            raise AssertionError(f"searched for {target}")
+
+        monkeypatch.setattr("unifan.monoid.solve_nonneg", no_search)
+        assert in_span((10**6, 1), [(0, 1), (1, 0), (2, 3)])
+        assert in_span((0, 7, 0), [(0, 1, 0), (1, 1, 1)])
+
+    def test_matches_enumeration(self):
+        rng = random.Random(5)
+        units = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        for _ in range(300):
+            gens = {tuple(rng.randint(0, 3) for _ in range(3)) for _ in range(rng.randint(0, 3))}
+            gens = sorted((gens | set(rng.sample(units, rng.randint(0, 2)))) - {(0, 0, 0)})
+            target = tuple(rng.randint(0, 6) for _ in range(3))
+            assert in_span(target, gens) == bool(all_representations(target, gens))
+
 
 class TestIsFree:
     def test_numerical_2_3_not_free(self, p123):

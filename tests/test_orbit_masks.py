@@ -1,25 +1,32 @@
-"""The bitmask orbit layer against the search it replaced.
+"""The bitmask orbit layer against the search it replaced, and the catalog
+read off the maximal cones against the catalog filtered from the basic
+subsets.
 
-The `reference_*` functions are the earlier implementation of
-`unifan.orbits`, kept verbatim as the slow path: one `solve_nonneg` search per
-membership query, one monoid per cone and one scan of every cone per record.
+The `reference_*` functions are earlier implementations of `unifan.orbits`,
+kept verbatim as slow paths: one `solve_nonneg` search per membership query,
+one monoid per cone and one scan of every cone per record; and the catalog of
+the basic subsets inside the quotient domain, with each record's cones grown
+from its hat set (`reference_mask_catalog`).
 """
 
 import hashlib
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import combinations, product
+from math import comb
 
 import pytest
 
 from unifan import validate_fan
 from unifan.classgroup import ClassTable, radiant_classes
 from unifan.demazure import PrecedenceRelation, compute_precedence
-from unifan.fan import Fan
+from unifan.fan import Fan, ray_mask
 from unifan.linalg import IntVec, InvariantViolation, q_independent
 from unifan.monoid import gamma_of_rayset, in_span, irreducibles, is_free
 from unifan.orbits import (
     OrbitRecord,
+    _bits,
     build_catalog,
     enumerate_basic_subsets,
     non_free_witness,
@@ -32,6 +39,7 @@ from conftest import (
     P3_BLOWUP_CONES,
     P3_BLOWUP_RAYS,
     RADIANT_FIXTURES,
+    classes_independent,
     family,
     negative_surface,
     p1_power,
@@ -172,6 +180,84 @@ def reference_build_catalog(fan: Fan, basics, negative_rays) -> list[OrbitRecord
     return records
 
 
+def reference_cones_between(cone_index: dict[int, int], num_rays: int, hat: int, members: int):
+    """Positions in `fan.all_cones` of the cones containing the hat set and
+    meeting no member, ascending. They are found by growing the hat one ray
+    at a time, in increasing order, among the face-closed cone masks."""
+    free_rays = _bits(((1 << num_rays) - 1) & ~(hat | members))
+    found = []
+    stack = [(hat, 0)]
+    while stack:
+        cone, start = stack.pop()
+        found.append(cone_index[cone])
+        for i in range(start, len(free_rays)):
+            bigger = cone | 1 << free_rays[i]
+            if bigger in cone_index:
+                stack.append((bigger, i + 1))
+    found.sort()
+    return found
+
+
+def reference_mask_catalog(fan: Fan, basics, negative_rays) -> list[OrbitRecord]:
+    """One record per basic subset inside the quotient domain.
+
+    The torus orbits absorbed by a record are the cones wedged between the
+    hat set and the complement of the basic set; records are sorted by
+    descending dimension, then by ray set.
+    """
+    records = [
+        OrbitRecord(
+            basic=b,
+            dimension=fan.dim - b.hat_mask.bit_count(),
+            t_orbit_cones=tuple(
+                fan.all_cones[i]
+                for i in reference_cones_between(fan.cone_index, fan.num_rays, b.hat_mask, b.rays_mask)
+            ),
+        )
+        for b in basics
+        if b.in_x_hat
+    ]
+    records.sort(key=lambda r: (-r.dimension, r.basic.rays))
+    open_records = [r for r in records if not r.basic.hat_mask]
+    if len(open_records) != 1:
+        raise InvariantViolation(f"{len(open_records)} open orbits, expected one")
+    if open_records[0].basic.rays != tuple(sorted(negative_rays)):
+        raise InvariantViolation("the open orbit is not the negative-ray stratum")
+    return records
+
+
+def assert_affine_paving(fan: Fan, records) -> None:
+    """The facts of a finite catalog that make the orbits an affine paving
+    with one torus-fixed point each (Bialynicki-Birula): the cones of each
+    record form the interval [hat, sigma] of a maximal cone sigma; its basic
+    set is rays - sigma; each maximal cone is the sigma of one record; and
+    counting F_q-points, sum over records of q^dim = sum over cones of
+    (q - 1)^(dim - |cone|), so the records of each dimension j number the
+    q^j coefficient of the fan's h-polynomial."""
+    full = (1 << fan.num_rays) - 1
+    tops = []
+    for record in records:
+        masks = [ray_mask(c.ray_indices) for c in record.t_orbit_cones]
+        top = 0
+        for m in masks:
+            top |= m
+        hat = record.basic.hat_mask
+        free = [r for r in _bits(top) if not hat >> r & 1]
+        interval = {hat | ray_mask(c) for k in range(len(free) + 1) for c in combinations(free, k)}
+        assert len(masks) == len(interval) and set(masks) == interval
+        assert record.basic.rays_mask == full & ~top
+        assert record.dimension == fan.dim - hat.bit_count()
+        tops.append(top)
+    assert sorted(tops) == sorted(ray_mask(c.ray_indices) for c in fan.max_cones)
+    faces = Counter(len(c) for c in fan.all_cones)
+    h = [0] * (fan.dim + 1)
+    for size, count in faces.items():
+        m = fan.dim - size
+        for j in range(m + 1):
+            h[j] += count * comb(m, j) * (-1) ** (m - j)
+    assert [sum(1 for r in records if r.dimension == j) for j in range(fan.dim + 1)] == h
+
+
 def product_of(*fans):
     """Fan of a product: block-diagonal rays, products of maximal cones."""
     dim = sum(f.dim for f in fans)
@@ -213,7 +299,7 @@ CORPORA = {
     "family_specs": lambda: radiant(family(spec) for spec in FAMILY_SPECS),
     "fixtures": lambda: [family(spec) for spec in sorted(RADIANT_FIXTURES.values())],
     "random_surfaces": lambda: radiant(random_surfaces()),
-    "p1_powers": lambda: [p1_power(k) for k in range(1, 6)],
+    "p1_powers": lambda: [p1_power(k) for k in range(1, 7)],
     "products": lambda: [
         product_of(family("pn:2"), family("pn:1")),
         product_of(family("pn:2"), family("pn:2")),
@@ -229,8 +315,8 @@ def prepared(fan):
     return classes, compute_precedence(bilateral, classes)
 
 
-def record_fields(basics):
-    return [(b.rays, b.hat, b.in_x_hat, b.classes_independent) for b in basics]
+def record_fields(basics, classes):
+    return [(b.rays, b.hat, b.in_x_hat, classes_independent(classes, b)) for b in basics]
 
 
 def catalog_fields(records):
@@ -247,11 +333,20 @@ def test_mask_layer_matches_reference(corpus):
         slow = reference_with_membership(
             fan, reference_enumerate_basic_subsets(classes, precedence)
         )
-        assert record_fields(fast) == record_fields(slow)
-        assert non_free_witness(fan, classes) == reference_non_free_witness(fan, classes)
-        assert catalog_fields(build_catalog(fan, fast, classes.negative)) == catalog_fields(
-            reference_build_catalog(fan, slow, classes.negative)
-        )
+        assert record_fields(fast, classes) == [
+            (b.rays, b.hat, b.in_x_hat, b.classes_independent) for b in slow
+        ]
+        witness = non_free_witness(fan, classes)
+        assert witness == reference_non_free_witness(fan, classes)
+        if witness is None:
+            reference = reference_mask_catalog(fan, fast, classes.negative)
+            assert catalog_fields(reference) == catalog_fields(
+                reference_build_catalog(fan, slow, classes.negative)
+            )
+            assert_affine_paving(fan, reference)
+            assert catalog_fields(build_catalog(fan, classes, precedence)) == catalog_fields(
+                reference
+            )
 
 
 def test_star_subdivisions_stay_small_and_varied():
@@ -275,5 +370,5 @@ def test_fourteen_ray_draw_matches_pinned_reference():
     assert len(basics) == 16185
     pairs = [(b.rays, b.hat) for b in basics]
     assert hashlib.sha256(repr(pairs).encode()).hexdigest() == FOURTEEN_RAY_RAYS_HAT_SHA256
-    records = record_fields(basics)
+    records = record_fields(basics, classes)
     assert hashlib.sha256(repr(records).encode()).hexdigest() == FOURTEEN_RAY_RECORDS_SHA256

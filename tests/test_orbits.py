@@ -11,6 +11,7 @@ import unifan.orbits
 
 from unifan.classgroup import radiant_classes
 from unifan.demazure import compute_precedence
+from unifan.fan import validate_fan
 from unifan.linalg import q_independent, rational_rank
 from unifan.monoid import gamma_of_rayset
 from unifan.orbits import enumerate_basic_subsets, non_free_witness, with_membership
@@ -22,6 +23,7 @@ from conftest import (
     P3_BLOWUP_RAYS,
     RADIANT_FIXTURES,
     NotFinite,
+    classes_independent,
     family,
     finiteness_verdict,
     has_cone,
@@ -30,6 +32,7 @@ from conftest import (
     orbit_catalog,
     p1_power,
     pairwise_irreducibles,
+    radiant_p3_draw,
     random_surfaces,
 )
 
@@ -252,10 +255,7 @@ class TestGaleDuality:
                 fan.ray_vector(r) for r in range(fan.num_rays) if r not in b.rays
             ]
             spans = rational_rank(complement) == fan.dim
-            assert b.classes_independent == spans
-            assert b.classes_independent == q_independent(
-                [classes.class_of(r) for r in b.rays]
-            )
+            assert classes_independent(classes, b) == spans
 
 
 class TestVerdictInvariance:
@@ -297,9 +297,10 @@ class TestCatalogConsistency:
     @pytest.mark.parametrize("spec", sorted(RADIANT_FIXTURES.values()))
     def test_qualifying_basics_are_independent(self, spec):
         analysis = analyze_fan(family(spec))
-        for b in analysis.basics:
+        basics = enumerate_basic_subsets(analysis.classes, analysis.precedence)
+        for b in with_membership(analysis.fan, basics):
             if b.in_x_hat:
-                assert b.classes_independent
+                assert classes_independent(analysis.classes, b)
 
     @pytest.mark.parametrize("spec", sorted(RADIANT_FIXTURES.values()))
     def test_records_sorted(self, spec):
@@ -318,7 +319,7 @@ class TestInvariants:
             "from unifan.pipeline import analyze_fan\n"
             "if __debug__:\n"
             "    raise SystemExit(3)\n"
-            "unifan.orbits.q_independent = lambda vectors: False\n"
+            "unifan.orbits.in_span = lambda vector, gens: False\n"
             "try:\n"
             "    analyze_fan(build(parse_family('pn:2')))\n"
             "except InvariantViolation:\n"
@@ -386,35 +387,68 @@ class TestNonFreeWitness:
 
     def test_fourteen_ray_blowup_is_quick(self):
         """A 14-ray radiant blow-up of P3 (class rank 11): the complement of
-        cone (3,) is not free. The whole analysis, 16185 basic subsets among
-        it, ends well inside the timeout with a small traced peak; the
-        search per membership query took 4.5 s and a 6.5 MB traced peak
-        on this draw."""
-        script = (
-            "import json, tracemalloc\n"
-            "from unifan.fan import validate_fan\n"
-            "from unifan.pipeline import analyze_fan\n"
-            f"fan = validate_fan(3, {json.dumps(P3_BLOWUP_RAYS)}, "
-            f"{json.dumps(P3_BLOWUP_CONES)}, require_complete=True)\n"
-            "tracemalloc.start()\n"
-            "analysis = analyze_fan(fan)\n"
-            "peak = tracemalloc.get_traced_memory()[1]\n"
-            "verdict = analysis.verdict\n"
-            "print(json.dumps([len(analysis.basics), verdict.reason, "
-            "list(verdict.witness_cone.ray_indices), peak]))\n"
-        )
-        src = os.path.dirname(os.path.dirname(unifan.__file__))
-        env = {**os.environ, "PYTHONPATH": src}
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-        assert proc.returncode == 0, proc.stderr
-        basics, reason, cone, peak = json.loads(proc.stdout)
-        assert basics == 16185
+        cone (3,) is not free. The analysis enumerates no basic subset and
+        ends well inside the timeout with a small traced peak; the search per
+        membership query took 4.5 s and a 6.5 MB traced peak on this draw.
+        The enumeration on its own finds 16185 basic subsets."""
+        reason, cone, peak = analyze_without_enumeration(P3_BLOWUP_RAYS, P3_BLOWUP_CONES)
         assert reason == "non_free_monoid"
         assert cone == [3]
         assert peak < 4 * 2**20
+        fan = validate_fan(3, P3_BLOWUP_RAYS, P3_BLOWUP_CONES, require_complete=True)
+        classes, precedence = prepared(fan)
+        assert len(enumerate_basic_subsets(classes, precedence)) == 16185
+
+    def test_twenty_two_ray_blowup_is_decided_without_enumeration(self):
+        """The 22-ray draw has 4194137 basic subsets, which took 17.4 s and
+        570 MB to enumerate; its verdict needs none of them."""
+        rays, cones = radiant_p3_draw(18)
+        assert len(rays) == 22
+        reason, cone, peak = analyze_without_enumeration(rays, cones)
+        assert reason == "non_free_monoid"
+        assert cone == [3]
+        assert peak < 4 * 2**20
+
+
+# Analyses the fan given as JSON arguments, with the basic-subset enumeration
+# and the membership flags replaced, wherever unifan binds them, by functions
+# that fail when called; prints the verdict's reason and witness cone and the
+# analysis's traced memory peak as JSON.
+ANALYZE_WITHOUT_ENUMERATION = """\
+import json, sys, tracemalloc
+import unifan.orbits, unifan.pipeline
+from unifan.fan import validate_fan
+from unifan.pipeline import analyze_fan
+
+
+def forbidden(name):
+    def call(*args, **kwargs):
+        raise RuntimeError(f"analyze_fan called {name}")
+    return call
+
+
+for name in ("enumerate_basic_subsets", "with_membership"):
+    for module in (unifan.orbits, unifan.pipeline):
+        if hasattr(module, name):
+            setattr(module, name, forbidden(name))
+rays, cones = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+fan = validate_fan(3, rays, cones, require_complete=True)
+tracemalloc.start()
+verdict = analyze_fan(fan).verdict
+peak = tracemalloc.get_traced_memory()[1]
+print(json.dumps([verdict.reason, list(verdict.witness_cone.ray_indices), peak]))
+"""
+
+
+def analyze_without_enumeration(rays, cones):
+    src = os.path.dirname(os.path.dirname(unifan.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", ANALYZE_WITHOUT_ENUMERATION, json.dumps(rays), json.dumps(cones)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)

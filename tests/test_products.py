@@ -5,6 +5,7 @@ import random
 
 from unifan.coxspace import random_stratum_point
 from unifan.fan import validate_fan
+from unifan.orbits import enumerate_basic_subsets
 from unifan.pipeline import analyze_fan
 
 from conftest import family, make_point, t_orbit_of
@@ -66,7 +67,7 @@ class TestDecompositionAgainstSimulator:
         for spec in self.SPECS:
             fan = family(spec)
             analysis = analyze_fan(fan)
-            basics = analysis.basics
+            basics = enumerate_basic_subsets(analysis.classes, analysis.precedence)
             for record in analysis.catalog:
                 for cone in record.t_orbit_cones:
                     zeros = set(cone.ray_indices)
