@@ -77,8 +77,42 @@ def _dot(a, b) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
-def choose_v(fan: Fan, bilateral: BilateralStructure, roots) -> UnipotentChoice:
-    """Deterministic choice of the vector defining the unipotent subgroup.
+def semisimple_roots(fan: Fan, bilateral: BilateralStructure, classes: ClassTable) -> list[IntVec]:
+    """Semisimple roots of a radiant fan, one per ordered pair of distinct
+    rays (a, b) of equal class, in (a, b) order.
+
+    The class table of a radiant fan is exact (the positive rays are a
+    lattice basis, so Cl is free), so equal classes make D_b - D_a principal:
+    it is div of the character e with <e, a> = -1, <e, b> = 1 and 0 on every
+    other ray, read off the dual basis. The pairings are checked against the
+    rays, so a class table that merges two classes raises.
+    """
+    position = {ray: i for i, ray in enumerate(bilateral.positive)}
+    zero = (0,) * fan.dim
+    by_class: dict[IntVec, list[int]] = {}
+    for ray in range(fan.num_rays):
+        by_class.setdefault(classes.class_of(ray), []).append(ray)
+    found = []
+    for a in range(fan.num_rays):
+        for b in by_class[classes.class_of(a)]:
+            if b == a:
+                continue
+            minus = bilateral.dual_basis[position[a]] if a in position else zero
+            plus = bilateral.dual_basis[position[b]] if b in position else zero
+            e = tuple(y - x for x, y in zip(minus, plus))
+            for ray, vector in enumerate(fan.rays):
+                if _dot(e, vector) != (-1 if ray == a else 1 if ray == b else 0):
+                    raise InvariantViolation(
+                        f"rays {a} and {b} share a class but no character "
+                        f"has divisor D_{b} - D_{a}"
+                    )
+            found.append(e)
+    return found
+
+
+def choose_v(fan: Fan, bilateral: BilateralStructure, semisimple) -> UnipotentChoice:
+    """Deterministic choice of the vector defining the unipotent subgroup,
+    given the semisimple root vectors.
 
     Tries coordinates (-1, -c, -c^2, ...) in the positive-ray basis for
     c = 2, 3, ...; the chain of strictly decreasing negatives is automatic
@@ -86,13 +120,12 @@ def choose_v(fan: Fan, bilateral: BilateralStructure, roots) -> UnipotentChoice:
     """
     n = fan.dim
     basis_vectors = [fan.ray_vector(i) for i in bilateral.positive]
-    semisimple = [r for r in roots if r.semisimple]
     for c in count(2):
         coords = tuple(-(c**i) for i in range(n))
         v = tuple(
             sum(coords[i] * basis_vectors[i][t] for i in range(n)) for t in range(n)
         )
-        if all(_dot(r.e, v) != 0 for r in semisimple):
+        if all(_dot(e, v) != 0 for e in semisimple):
             return UnipotentChoice(v=v)
     raise InvariantViolation("unreachable")
 

@@ -4,6 +4,7 @@ and, when it is finite, the orbit catalog."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .classgroup import ClassGroupInfo, ClassTable, class_group, radiant_classes
 from .demazure import (
@@ -14,6 +15,7 @@ from .demazure import (
     compute_precedence,
     enumerate_roots,
     mark_membership,
+    semisimple_roots,
 )
 from .fan import Fan
 from .orbits import OrbitRecord, Verdict, build_catalog, non_free_witness
@@ -24,13 +26,21 @@ from .radiance import BilateralStructure, find_bilateral
 class FanAnalysis:
     fan: Fan
     class_info: ClassGroupInfo
-    roots: list[DemazureRoot]
     bilateral: BilateralStructure | None
     classes: ClassTable | None
     choice: UnipotentChoice | None
     precedence: PrecedenceRelation | None
     verdict: Verdict
     catalog: list[OrbitRecord] | None
+
+    @cached_property
+    def roots(self) -> list[DemazureRoot]:
+        """Every Demazure root in (ray, e) order, built on first read; on a
+        radiant fan each carries its `in_u` flag for the chosen `v`."""
+        roots = enumerate_roots(self.fan)
+        if self.choice is not None:
+            mark_membership(roots, self.choice)
+        return roots
 
 
 def analyze_fan(fan: Fan, bilateral: BilateralStructure | None = None) -> FanAnalysis:
@@ -39,9 +49,10 @@ def analyze_fan(fan: Fan, bilateral: BilateralStructure | None = None) -> FanAna
     An explicit bilateral structure can be supplied to exercise a witness
     other than the first one found; the verdict must not depend on it.
     Each stage fills its own fields; those of stages that never ran stay None.
+    The semisimple roots that fix `v` are the equal-class ray pairs, so no
+    root record is built here: `roots` is enumerated when first read.
     """
     class_info = class_group(fan)
-    roots = enumerate_roots(fan)
     if bilateral is None:
         bilateral = find_bilateral(fan)
     classes = choice = precedence = catalog = None
@@ -49,8 +60,7 @@ def analyze_fan(fan: Fan, bilateral: BilateralStructure | None = None) -> FanAna
         verdict = Verdict(finite=False, reason="not_radiant")
     else:
         classes = radiant_classes(fan, bilateral)
-        choice = choose_v(fan, bilateral, roots)
-        roots = mark_membership(roots, choice)
+        choice = choose_v(fan, bilateral, semisimple_roots(fan, bilateral, classes))
         precedence = compute_precedence(bilateral, classes)
         witness = non_free_witness(fan, classes)
         if witness is not None:
@@ -67,7 +77,6 @@ def analyze_fan(fan: Fan, bilateral: BilateralStructure | None = None) -> FanAna
     return FanAnalysis(
         fan=fan,
         class_info=class_info,
-        roots=roots,
         bilateral=bilateral,
         classes=classes,
         choice=choice,

@@ -103,6 +103,20 @@ P3_BLOWUP_CONES = [
 ]
 
 
+def product_of(*fans):
+    """Fan of a product: block-diagonal rays, products of maximal cones."""
+    dim = sum(f.dim for f in fans)
+    rays, cones_per_factor, shift, base = [], [], 0, 0
+    for f in fans:
+        for v in f.ray_vectors():
+            rays.append((0,) * shift + tuple(v) + (0,) * (dim - shift - f.dim))
+        cones_per_factor.append([[i + base for i in c] for c in f.max_cones])
+        shift += f.dim
+        base += f.num_rays
+    cones = [sum(choice, []) for choice in product(*cones_per_factor)]
+    return validate_fan(dim, rays, cones, require_complete=True)
+
+
 def radiant_p3_draw(steps: int):
     """The draw `random.Random(f"x{steps}")` of `steps` radiant star
     subdivisions of P3, made as the benchmark's blowups workload makes its

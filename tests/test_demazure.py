@@ -1,19 +1,33 @@
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import count, product
 
 import pytest
 
-from unifan.classgroup import radiant_classes
+import unifan.demazure
+import unifan.pipeline
+from unifan.classgroup import ClassTable, radiant_classes
 from unifan.demazure import (
+    UnipotentChoice,
     choose_v,
     compute_precedence,
     enumerate_roots,
     mark_membership,
+    semisimple_roots,
 )
-from unifan.linalg import IntVec, LinearSystem, lattice_points
+from unifan.linalg import IntVec, InvariantViolation, LinearSystem, lattice_points
+from unifan.pipeline import analyze_fan
 from unifan.radiance import find_bilateral
 
-from conftest import FAMILY_SPECS, RADIANT_FIXTURES, family, precedes, random_surfaces
+from conftest import (
+    FAMILY_SPECS,
+    RADIANT_FIXTURES,
+    del_pezzo6,
+    family,
+    p1_power,
+    precedes,
+    product_of,
+    random_surfaces,
+)
 
 
 def brute_force_roots(fan, box=8):
@@ -37,10 +51,14 @@ def pairing(e, vec):
     return sum(a * b for a, b in zip(e, vec))
 
 
+def semisimple_of(fan, bilateral):
+    return semisimple_roots(fan, bilateral, radiant_classes(fan, bilateral))
+
+
 def analyzed_roots(fan):
     bilateral = find_bilateral(fan)
     roots = enumerate_roots(fan)
-    choice = choose_v(fan, bilateral, roots)
+    choice = choose_v(fan, bilateral, semisimple_of(fan, bilateral))
     return mark_membership(roots, choice), choice, bilateral
 
 
@@ -146,7 +164,7 @@ class TestRootRecordsAgainstReference:
         bilateral = find_bilateral(fan)
         if bilateral is None:
             return
-        choice = choose_v(fan, bilateral, roots)
+        choice = choose_v(fan, bilateral, semisimple_of(fan, bilateral))
         assert mark_membership(roots, choice) is roots
         assert root_fields(roots) == root_fields(reference_mark_membership(expected, choice))
 
@@ -165,6 +183,113 @@ class TestRootRecordsAgainstReference:
     def test_random_surfaces(self):
         for fan in random_surfaces():
             self.assert_same(fan)
+
+
+def reference_choose_v(fan, bilateral, roots):
+    """The record-based choice: `v` avoids the hyperplane of every root
+    record flagged semisimple."""
+    n = fan.dim
+    basis_vectors = [fan.ray_vector(i) for i in bilateral.positive]
+    semisimple = [r for r in roots if r.semisimple]
+    for c in count(2):
+        coords = tuple(-(c**i) for i in range(n))
+        v = tuple(
+            sum(coords[i] * basis_vectors[i][t] for i in range(n)) for t in range(n)
+        )
+        if all(pairing(r.e, v) != 0 for r in semisimple):
+            return UnipotentChoice(v=v)
+
+
+PRODUCTS = {
+    "P1^3": lambda: p1_power(3),
+    "P2xP1": lambda: product_of(family("pn:2"), family("pn:1")),
+    "dP6xP1": lambda: product_of(del_pezzo6(), family("pn:1")),
+}
+
+
+class TestSemisimpleRootsAgainstEnumeration:
+    """The equal-class ray pairs give exactly the roots that enumeration
+    flags semisimple, and the same `v` as the record-based choice."""
+
+    @staticmethod
+    def assert_same(fan) -> bool:
+        bilateral = find_bilateral(fan)
+        if bilateral is None:
+            return False
+        semisimple = semisimple_of(fan, bilateral)
+        roots = enumerate_roots(fan)
+        assert sorted(semisimple) == sorted(r.e for r in roots if r.semisimple)
+        expected = reference_choose_v(fan, bilateral, roots)
+        assert choose_v(fan, bilateral, semisimple) == expected
+        return True
+
+    def test_family_specs(self):
+        assert all(self.assert_same(family(spec)) for spec in FAMILY_SPECS)
+
+    @pytest.mark.parametrize("spec", sorted(RADIANT_FIXTURES.values()))
+    def test_radiant_fixtures(self, spec):
+        assert self.assert_same(family(spec))
+
+    def test_random_surfaces(self):
+        assert sum(self.assert_same(fan) for fan in random_surfaces()) >= 5
+
+    @pytest.mark.parametrize("name", sorted(PRODUCTS))
+    def test_products(self, name):
+        assert self.assert_same(PRODUCTS[name]()) == (name != "dP6xP1")
+
+
+def corrupted(classes: ClassTable, a: int, b: int) -> ClassTable:
+    """The class table with ray b given the class of ray a."""
+    vectors = list(classes.classes)
+    vectors[b] = vectors[a]
+    return replace(classes, classes=tuple(vectors))
+
+
+class TestSemisimpleRootsRobustness:
+    @pytest.mark.parametrize("spec", sorted(RADIANT_FIXTURES.values()))
+    def test_merged_classes_raise(self, spec):
+        fan = family(spec)
+        bilateral = find_bilateral(fan)
+        classes = radiant_classes(fan, bilateral)
+        merged = 0
+        for a in range(fan.num_rays):
+            for b in range(fan.num_rays):
+                if classes.class_of(a) != classes.class_of(b):
+                    with pytest.raises(InvariantViolation, match="share a class"):
+                        semisimple_roots(fan, bilateral, corrupted(classes, a, b))
+                    merged += 1
+        assert merged > 0 or spec == "pn:2"
+
+
+def forbidden(name):
+    def call(*args, **kwargs):
+        raise RuntimeError(f"analyze_fan called {name}")
+
+    return call
+
+
+class TestRootsOnDemand:
+    """`analyze_fan` builds no root record; `analysis.roots` is enumerated
+    and flagged on first read, equal to the eager records of the reference."""
+
+    @pytest.mark.parametrize(
+        "fan", [family("hirzebruch:2"), del_pezzo6()], ids=["F2", "dP6"]
+    )
+    def test_first_read_builds_the_records(self, fan, monkeypatch):
+        with monkeypatch.context() as patch:
+            for name in ("enumerate_roots", "mark_membership"):
+                for module in (unifan.demazure, unifan.pipeline):
+                    patch.setattr(module, name, forbidden(name))
+            analysis = analyze_fan(fan)
+        expected = reference_enumerate_roots(fan)
+        if analysis.bilateral is not None:
+            choice = reference_choose_v(fan, analysis.bilateral, expected)
+            assert analysis.choice == choice
+            expected = reference_mark_membership(expected, choice)
+        else:
+            assert all(r.in_u is None for r in analysis.roots)
+        assert root_fields(analysis.roots) == root_fields(expected)
+        assert analysis.roots is analysis.roots
 
 
 class TestChooseV:

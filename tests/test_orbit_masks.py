@@ -13,7 +13,7 @@ import hashlib
 import random
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -44,6 +44,7 @@ from conftest import (
     negative_surface,
     p1_power,
     precedes,
+    product_of,
     random_surfaces,
 )
 
@@ -256,20 +257,6 @@ def assert_affine_paving(fan: Fan, records) -> None:
         for j in range(m + 1):
             h[j] += count * comb(m, j) * (-1) ** (m - j)
     assert [sum(1 for r in records if r.dimension == j) for j in range(fan.dim + 1)] == h
-
-
-def product_of(*fans):
-    """Fan of a product: block-diagonal rays, products of maximal cones."""
-    dim = sum(f.dim for f in fans)
-    rays, cones_per_factor, shift, base = [], [], 0, 0
-    for f in fans:
-        for v in f.ray_vectors():
-            rays.append((0,) * shift + tuple(v) + (0,) * (dim - shift - f.dim))
-        cones_per_factor.append([[i + base for i in c] for c in f.max_cones])
-        shift += f.dim
-        base += f.num_rays
-    cones = [sum(choice, []) for choice in product(*cones_per_factor)]
-    return validate_fan(dim, rays, cones, require_complete=True)
 
 
 def radiant_p3_subdivisions(count=24, seed=7):

@@ -333,6 +333,36 @@ class TestInvariants:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_merged_classes_raise_in_optimized_mode(self):
+        """A class table giving rays 0 and 1 of P1xP1 (classes (1, 0) and
+        (0, 1)) the same class makes `semisimple_roots` raise under `-O`."""
+        script = (
+            "from dataclasses import replace\n"
+            "from unifan.classgroup import radiant_classes\n"
+            "from unifan.demazure import semisimple_roots\n"
+            "from unifan.families import build, parse_family\n"
+            "from unifan.linalg import InvariantViolation\n"
+            "from unifan.radiance import find_bilateral\n"
+            "if __debug__:\n"
+            "    raise SystemExit(3)\n"
+            "fan = build(parse_family('p1xp1'))\n"
+            "bilateral = find_bilateral(fan)\n"
+            "classes = radiant_classes(fan, bilateral)\n"
+            "vectors = list(classes.classes)\n"
+            "vectors[1] = vectors[0]\n"
+            "try:\n"
+            "    semisimple_roots(fan, bilateral, replace(classes, classes=tuple(vectors)))\n"
+            "except InvariantViolation:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n"
+        )
+        src = os.path.dirname(os.path.dirname(unifan.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+
 
 def reference_non_free_witness(fan, classes):
     """The scan that tests every cone's complement monoid, free or not, with
