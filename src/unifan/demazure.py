@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
+from operator import add, sub
 
 from .classgroup import ClassTable
 from .fan import Fan
@@ -48,29 +49,96 @@ class PrecedenceRelation:
     pairs: frozenset[tuple[int, int]]
 
 
-def enumerate_roots(fan: Fan) -> list[DemazureRoot]:
+def enumerate_roots(
+    fan: Fan,
+    bilateral: BilateralStructure | None = None,
+    classes: ClassTable | None = None,
+) -> list[DemazureRoot]:
     """All Demazure roots of a complete fan, sorted by (ray, e).
 
-    For each ray the root set is the bounded lattice slice pairing to -1
-    with that ray and nonnegatively with all others. Rays are visited in
-    ascending order and `lattice_points` returns each slice in lex order,
-    so the list comes out sorted.
+    Given the bilateral structure and class table of a radiant fan, each
+    ray's roots are read off the class table (`_class_table_slices`) and a
+    root is semisimple iff it is one of the equal-class pair vectors of
+    `semisimple_roots`. Otherwise each ray's roots are the bounded lattice
+    slice pairing to -1 with that ray and nonnegatively with all others,
+    from the projection chain of `lattice_points` (in lex order), and a root
+    is semisimple iff its negative is a root too.
     """
-    n = fan.dim
-    found: list[tuple[int, IntVec]] = []
-    for rho in range(fan.num_rays):
-        system = LinearSystem.make(
-            n,
-            equalities=[(fan.ray_vector(rho), -1)],
-            inequalities=[
-                (fan.ray_vector(other), 0)
-                for other in range(fan.num_rays)
-                if other != rho
-            ],
-        )
-        found.extend((rho, e) for e in lattice_points(system))
-    all_e = {e for _, e in found}
-    return [DemazureRoot(e, rho, tuple([-x for x in e]) in all_e) for rho, e in found]
+    if bilateral is None or classes is None:
+        slices = [lattice_points(_slice_system(fan, rho)) for rho in range(fan.num_rays)]
+        all_e = {e for found in slices for e in found}
+        semisimple = {e for e in all_e if tuple([-x for x in e]) in all_e}
+    else:
+        slices = _class_table_slices(bilateral, classes)
+        semisimple = set(semisimple_roots(fan, bilateral, classes))
+    return [
+        DemazureRoot(e, rho, e in semisimple)
+        for rho, found in enumerate(slices)
+        for e in found
+    ]
+
+
+def _slice_system(fan: Fan, rho: int) -> LinearSystem:
+    """<e, rho> = -1 and <e, ray> >= 0 for every other ray."""
+    return LinearSystem.make(
+        fan.dim,
+        equalities=[(fan.ray_vector(rho), -1)],
+        inequalities=[
+            (fan.ray_vector(other), 0) for other in range(fan.num_rays) if other != rho
+        ],
+    )
+
+
+def _class_table_slices(
+    bilateral: BilateralStructure, classes: ClassTable
+) -> list[list[IntVec]]:
+    """Each ray's roots on a radiant fan, sorted, with no linear system.
+
+    In the positive-ray basis u, a character is e = sum_i c_i dual[i] with
+    c_i = <e, u_i>, and it pairs to -sum_i c_i cls_t(u_i) with the negative
+    ray of class e_t. So the roots at u_j are c_j = -1 and c_i >= 0 for the
+    other i with sum c_i cls(u_i) <= cls(u_j) componentwise: a knapsack
+    walk whose every leaf is a root, finite because no class is zero. At a
+    negative ray the sum must equal its unit class, so its roots are the
+    dual[i] of the u_i of that class: the equal-class pairs.
+    """
+    dual = bilateral.dual_basis
+    cls = [classes.class_of(ray) for ray in bilateral.positive]
+    for ray, c in zip(bilateral.positive, cls):
+        if not any(c):
+            raise InvariantViolation(f"class of ray {ray} is zero")
+    support = [[t for t, x in enumerate(c) if x] for c in cls]
+    slices: list[list[IntVec]] = [[] for _ in classes.classes]
+    for tau in bilateral.negative:
+        unit = classes.class_of(tau)
+        slices[tau] = sorted(dual[i] for i, c in enumerate(cls) if c == unit)
+    for j, rho in enumerate(bilateral.positive):
+        # Largest classes first, so the last level, emitted in bulk, is the longest.
+        others = sorted((i for i in range(len(cls)) if i != j), key=lambda i: -sum(cls[i]))
+        found: list[IntVec] = []
+
+        def walk(level: int, budget: list[int], e: IntVec) -> None:
+            if level == len(others):
+                found.append(e)
+                return
+            i = others[level]
+            c, d = cls[i], dual[i]
+            top = min(budget[t] // c[t] for t in support[i])
+            if level == len(others) - 1:
+                found.append(e)
+                for _ in range(top):
+                    e = tuple(map(add, e, d))
+                    found.append(e)
+                return
+            for _ in range(top + 1):
+                walk(level + 1, budget, e)
+                budget = list(map(sub, budget, c))
+                e = tuple(map(add, e, d))
+
+        walk(0, list(cls[j]), tuple([-x for x in dual[j]]))
+        found.sort()
+        slices[rho] = found
+    return slices
 
 
 def _dot(a, b) -> int:

@@ -35,9 +35,11 @@ class FanAnalysis:
 
     @cached_property
     def roots(self) -> list[DemazureRoot]:
-        """Every Demazure root in (ray, e) order, built on first read; on a
-        radiant fan each carries its `in_u` flag for the chosen `v`."""
-        roots = enumerate_roots(self.fan)
+        """Every Demazure root in (ray, e) order, built on first read. On a
+        radiant fan the records are read off the class table and each
+        carries its `in_u` flag for the chosen `v`; on any other fan they
+        come from the projection chain and `in_u` stays None."""
+        roots = enumerate_roots(self.fan, self.bilateral, self.classes)
         if self.choice is not None:
             mark_membership(roots, self.choice)
         return roots

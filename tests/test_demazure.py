@@ -28,6 +28,7 @@ from conftest import (
     product_of,
     random_surfaces,
 )
+from test_projection_chain import ROOTS_WORKLOAD
 
 
 def brute_force_roots(fan, box=8):
@@ -152,37 +153,51 @@ def root_fields(roots):
     return [(r.e, r.distinguished_ray, r.semisimple, r.in_u) for r in roots]
 
 
+PRODUCTS = {
+    "P1^3": lambda: p1_power(3),
+    "P2xP1": lambda: product_of(family("pn:2"), family("pn:1")),
+    "(P1)^6": lambda: p1_power(6),
+    "dP6xP1": lambda: product_of(del_pezzo6(), family("pn:1")),
+}
+
+
 class TestRootRecordsAgainstReference:
     """Records built once in enumeration order and flagged in place equal
-    the sorted frozen records the reference rebuilds."""
+    the sorted frozen records the reference rebuilds, from the projection
+    chain on every fan and from the class table on a radiant one."""
 
     @staticmethod
-    def assert_same(fan):
-        roots = enumerate_roots(fan)
+    def assert_same(fan) -> bool:
         expected = reference_enumerate_roots(fan)
-        assert root_fields(roots) == root_fields(expected)
+        assert root_fields(enumerate_roots(fan)) == root_fields(expected)
         bilateral = find_bilateral(fan)
         if bilateral is None:
-            return
-        choice = choose_v(fan, bilateral, semisimple_of(fan, bilateral))
-        assert mark_membership(roots, choice) is roots
-        assert root_fields(roots) == root_fields(reference_mark_membership(expected, choice))
+            return False
+        classes = radiant_classes(fan, bilateral)
+        choice = choose_v(fan, bilateral, semisimple_roots(fan, bilateral, classes))
+        expected = root_fields(reference_mark_membership(expected, choice))
+        for roots in (enumerate_roots(fan), enumerate_roots(fan, bilateral, classes)):
+            assert mark_membership(roots, choice) is roots
+            assert root_fields(roots) == expected
+        return True
 
     def test_family_specs(self):
-        radiant = 0
-        for spec in FAMILY_SPECS:
-            fan = family(spec)
-            radiant += find_bilateral(fan) is not None
-            self.assert_same(fan)
-        assert radiant > 0
+        assert sum(self.assert_same(family(spec)) for spec in FAMILY_SPECS) > 0
 
     @pytest.mark.parametrize("spec", sorted(RADIANT_FIXTURES.values()))
     def test_radiant_fixtures(self, spec):
-        self.assert_same(family(spec))
+        assert self.assert_same(family(spec))
 
     def test_random_surfaces(self):
-        for fan in random_surfaces():
-            self.assert_same(fan)
+        assert sum(self.assert_same(fan) for fan in random_surfaces()) >= 5
+
+    @pytest.mark.parametrize("name", sorted(PRODUCTS))
+    def test_products(self, name):
+        assert self.assert_same(PRODUCTS[name]()) == (name != "dP6xP1")
+
+    @pytest.mark.parametrize("spec", ROOTS_WORKLOAD)
+    def test_roots_workload(self, spec):
+        assert self.assert_same(family(spec))
 
 
 def reference_choose_v(fan, bilateral, roots):
@@ -198,13 +213,6 @@ def reference_choose_v(fan, bilateral, roots):
         )
         if all(pairing(r.e, v) != 0 for r in semisimple):
             return UnipotentChoice(v=v)
-
-
-PRODUCTS = {
-    "P1^3": lambda: p1_power(3),
-    "P2xP1": lambda: product_of(family("pn:2"), family("pn:1")),
-    "dP6xP1": lambda: product_of(del_pezzo6(), family("pn:1")),
-}
 
 
 class TestSemisimpleRootsAgainstEnumeration:
@@ -245,6 +253,25 @@ def corrupted(classes: ClassTable, a: int, b: int) -> ClassTable:
     return replace(classes, classes=tuple(vectors))
 
 
+def zeroed(classes: ClassTable, ray: int) -> ClassTable:
+    """The class table with ray's class replaced by the zero vector."""
+    vectors = list(classes.classes)
+    vectors[ray] = (0,) * classes.k
+    return replace(classes, classes=tuple(vectors))
+
+
+class TestClassTableRobustness:
+    @pytest.mark.parametrize("spec", sorted(RADIANT_FIXTURES.values()))
+    def test_zero_positive_class_raises(self, spec):
+        """A zero positive class would make the slices unbounded."""
+        fan = family(spec)
+        bilateral = find_bilateral(fan)
+        classes = radiant_classes(fan, bilateral)
+        for ray in bilateral.positive:
+            with pytest.raises(InvariantViolation, match=f"class of ray {ray} is zero"):
+                enumerate_roots(fan, bilateral, zeroed(classes, ray))
+
+
 class TestSemisimpleRootsRobustness:
     @pytest.mark.parametrize("spec", sorted(RADIANT_FIXTURES.values()))
     def test_merged_classes_raise(self, spec):
@@ -263,7 +290,7 @@ class TestSemisimpleRootsRobustness:
 
 def forbidden(name):
     def call(*args, **kwargs):
-        raise RuntimeError(f"analyze_fan called {name}")
+        raise RuntimeError(f"{name} was called")
 
     return call
 
@@ -290,6 +317,37 @@ class TestRootsOnDemand:
             assert all(r.in_u is None for r in analysis.roots)
         assert root_fields(analysis.roots) == root_fields(expected)
         assert analysis.roots is analysis.roots
+
+    @pytest.mark.parametrize(
+        "fan",
+        [family("hirzebruch:2"), family("wps:1,1,30,900"), p1_power(3), del_pezzo6()],
+        ids=["F2", "wps-1-1-30-900", "P1^3", "dP6"],
+    )
+    def test_radiant_fans_solve_no_linear_system(self, fan, monkeypatch):
+        """On a radiant fan the records come from the class table and no
+        `lattice_points` slice is taken; dP6 is not radiant and keeps them."""
+        calls = []
+        real = unifan.demazure.lattice_points
+
+        def counted(system):
+            calls.append(system)
+            return real(system)
+
+        analysis = analyze_fan(fan)
+        radiant = analysis.bilateral is not None
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                unifan.demazure,
+                "lattice_points",
+                forbidden("lattice_points") if radiant else counted,
+            )
+            roots = analysis.roots
+        expected = reference_enumerate_roots(fan)
+        if radiant:
+            expected = reference_mark_membership(expected, analysis.choice)
+        else:
+            assert len(calls) == fan.num_rays
+        assert root_fields(roots) == root_fields(expected)
 
 
 class TestChooseV:
@@ -467,17 +525,23 @@ class TestRootCountsFromWeights:
         ids=["family-specs", "wps-chain-to-64", "pn-14"],
     )
     def test_per_ray_count(self, specs):
+        """On the projection chain and on the class table alike."""
         for spec in specs:
             fan = family(spec)
+            bilateral = find_bilateral(fan)
             weights = wps_weights(spec)
-            per_ray = [0] * fan.num_rays
-            for root in enumerate_roots(fan):
-                per_ray[root.distinguished_ray] += 1
             expected = [
                 monomial_count(w, weights[:rho] + weights[rho + 1 :])
                 for rho, w in enumerate(weights)
             ]
-            assert per_ray == expected, spec
+            for roots in (
+                enumerate_roots(fan),
+                enumerate_roots(fan, bilateral, radiant_classes(fan, bilateral)),
+            ):
+                per_ray = [0] * fan.num_rays
+                for root in roots:
+                    per_ray[root.distinguished_ray] += 1
+                assert per_ray == expected, spec
 
     @pytest.mark.parametrize("spec, total", [("wps:1,1,2,4,8,16,32,64", 29414), ("pn:14", 210)])
     def test_total(self, spec, total):

@@ -363,6 +363,41 @@ class TestInvariants:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_zero_class_raises_in_optimized_mode(self):
+        """A class table giving a positive ray of F2 the zero class, which
+        would make its root slices unbounded, makes the class-table root
+        enumeration raise under `-O`."""
+        script = (
+            "from dataclasses import replace\n"
+            "from unifan.classgroup import radiant_classes\n"
+            "from unifan.demazure import enumerate_roots\n"
+            "from unifan.families import build, parse_family\n"
+            "from unifan.linalg import InvariantViolation\n"
+            "from unifan.radiance import find_bilateral\n"
+            "if __debug__:\n"
+            "    raise SystemExit(3)\n"
+            "fan = build(parse_family('hirzebruch:2'))\n"
+            "bilateral = find_bilateral(fan)\n"
+            "classes = radiant_classes(fan, bilateral)\n"
+            "vectors = list(classes.classes)\n"
+            "vectors[bilateral.positive[0]] = (0,) * classes.k\n"
+            "try:\n"
+            "    enumerate_roots(fan, bilateral, replace(classes, classes=tuple(vectors)))\n"
+            "except InvariantViolation:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n"
+        )
+        src = os.path.dirname(os.path.dirname(unifan.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+
 
 def reference_non_free_witness(fan, classes):
     """The scan that tests every cone's complement monoid, free or not, with
