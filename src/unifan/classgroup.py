@@ -35,15 +35,13 @@ class ClassTable:
 def class_group(fan: Fan) -> ClassGroupInfo:
     """Cokernel of the character-to-divisor pairing map.
 
-    The Smith form of the (num_rays x dim) matrix of primitive ray vectors
-    gives the free rank and torsion invariants of the class group.
+    The invariant factors of the (num_rays x dim) matrix of primitive ray
+    vectors give the free rank and torsion invariants of the class group.
     """
-    _, s, _ = smith_normal_form(fan.ray_vectors())
-    diag = [s[i][i] for i in range(min(fan.num_rays, fan.dim))]
-    rank = sum(1 for x in diag if x != 0)
+    factors = smith_normal_form(fan.rays)
     return ClassGroupInfo(
-        free_rank=fan.num_rays - rank,
-        torsion_invariants=tuple(x for x in diag if x > 1),
+        free_rank=fan.num_rays - sum(1 for x in factors if x != 0),
+        torsion_invariants=tuple(x for x in factors if x > 1),
     )
 
 

@@ -118,52 +118,6 @@ def _pairwise_intersection_ok(fan_dim, rays, c1: Cone, c2: Cone) -> bool:
     return not feasible(system)
 
 
-def _complete_certificate(dim, rays, maximal) -> bool:
-    """Integer certificate that simplicial cones form a complete fan.
-
-    The pseudomanifold / consistent-orientation / covering-degree-1
-    characterisation of triangulations (De Loera-Rambau-Santos,
-    *Triangulations*, Springer 2010, ch. 4), applied to the sphere:
-
-    (a) every cone has `dim` rays and every ridge lies in exactly two cones;
-    (b) the two rays opposite a ridge R lie strictly on opposite sides of
-        its hyperplane: det(R, a) and det(R, b), with the same row order
-        of R, are nonzero of opposite signs;
-    (c) q = the sum of the rays of maximal[0], interior to that cone, lies
-        in no other cone (Cramer signs), so the covering degree is 1.
-
-    (a) and (b) make the cones cover every generic point the same number
-    of times; (c) makes that number 1, which rules out a fan that wraps
-    around twice. True proves the fan valid and complete. On cones that meet
-    in common faces, False proves the fan incomplete: a complete such fan
-    passes (a), and it cannot fail (b) or (c), since no two of its cones
-    overlap. The cones must already be known to be simplicial.
-    """
-    if not maximal or any(len(c) != dim for c in maximal):
-        return False
-    # det(R, a) is det(cone) with a's row moved last: dim-1-pos transpositions.
-    dets = []
-    ridge_sides: dict[tuple, list[bool]] = {}
-    for cone in maximal:
-        idx = cone.ray_indices
-        det = int_det([rays[i] for i in idx])
-        if det == 0:
-            return False
-        dets.append(det)
-        for pos in range(dim):
-            ridge = idx[:pos] + idx[pos + 1 :]
-            ridge_sides.setdefault(ridge, []).append((det > 0) == ((dim - 1 - pos) % 2 == 0))
-    if any(len(sides) != 2 or sides[0] == sides[1] for sides in ridge_sides.values()):
-        return False
-    q = tuple(sum(col) for col in zip(*(rays[i] for i in maximal[0].ray_indices)))
-    for cone, det in zip(maximal[1:], dets[1:]):
-        rows = [rays[i] for i in cone.ray_indices]
-        # q is in the closed cone iff every Cramer coefficient is >= 0.
-        if all(int_det(rows[:k] + [q] + rows[k + 1 :]) * det >= 0 for k in range(dim)):
-            return False
-    return True
-
-
 def validate_fan(dim, rays, max_cones, require_complete: bool = False) -> Fan:
     """Validate raw fan data and derive the full face list and its index.
 
@@ -253,7 +207,50 @@ def validate_fan(dim, rays, max_cones, require_complete: bool = False) -> Fan:
 
 
 def is_complete(fan: Fan) -> bool:
-    """Whether the fan covers the ambient space: `_complete_certificate` on
-    the fan's own data. Every `Fan` that `validate_fan` returns has cones
-    meeting in common faces, so there the answer is exact either way."""
-    return _complete_certificate(fan.dim, fan.ray_vectors(), fan.max_cones)
+    """Whether the fan covers the ambient space, by an integer certificate
+    that its simplicial cones form a complete fan.
+
+    The pseudomanifold / consistent-orientation / covering-degree-1
+    characterisation of triangulations (De Loera-Rambau-Santos,
+    *Triangulations*, Springer 2010, ch. 4), applied to the sphere:
+
+    (a) every cone has `dim` rays and every ridge lies in exactly two cones;
+    (b) the two rays opposite a ridge R lie strictly on opposite sides of
+        its hyperplane: det(R, a) and det(R, b), with the same row order
+        of R, are nonzero of opposite signs;
+    (c) q = the sum of the rays of maximal[0], interior to that cone, lies
+        in no other cone (Cramer signs), so the covering degree is 1.
+
+    (a) and (b) make the cones cover every generic point the same number
+    of times; (c) makes that number 1, which rules out a fan that wraps
+    around twice. True proves the fan valid and complete. On cones that meet
+    in common faces, False proves the fan incomplete: a complete such fan
+    passes (a), and it cannot fail (b) or (c), since no two of its cones
+    overlap. The cones must already be known to be simplicial; every `Fan`
+    that `validate_fan` returns has simplicial cones meeting in common
+    faces, so there the answer is exact either way.
+    """
+    dim, rays, maximal = fan.dim, fan.rays, fan.max_cones
+    if not maximal or any(len(c) != dim for c in maximal):
+        return False
+    # det(R, a) is det(cone) with a's row moved last: dim-1-pos transpositions.
+    dets = []
+    ridge_sides: dict[tuple, list[bool]] = {}
+    for cone in maximal:
+        idx = cone.ray_indices
+        det = int_det([rays[i] for i in idx])
+        if det == 0:
+            return False
+        dets.append(det)
+        for pos in range(dim):
+            ridge = idx[:pos] + idx[pos + 1 :]
+            ridge_sides.setdefault(ridge, []).append((det > 0) == ((dim - 1 - pos) % 2 == 0))
+    if any(len(sides) != 2 or sides[0] == sides[1] for sides in ridge_sides.values()):
+        return False
+    q = tuple(sum(col) for col in zip(*(rays[i] for i in maximal[0].ray_indices)))
+    for cone, det in zip(maximal[1:], dets[1:]):
+        rows = [rays[i] for i in cone.ray_indices]
+        # q is in the closed cone iff every Cramer coefficient is >= 0.
+        if all(int_det(rows[:k] + [q] + rows[k + 1 :]) * det >= 0 for k in range(dim)):
+            return False
+    return True

@@ -2,8 +2,9 @@
 
 Everything in this module is computed with Python's arbitrary-precision
 integers, fraction-free; no floating point is used anywhere. The kernel
-provides Smith normal forms, unimodular inversion, rational rank,
-nonnegative integer feasibility, and, for linear systems, rational
+provides the invariant factors of a Smith normal form; unimodular inverses,
+rational ranks and determinants by fraction-free elimination (Bareiss);
+nonnegative integer feasibility; and, for linear systems, rational
 feasibility and bounded lattice-point enumeration over one chain of exact
 integer projections (equality substitution, then Fourier-Motzkin).
 
@@ -44,42 +45,17 @@ def _gcd_many(values) -> int:
     return g
 
 
-def smith_normal_form(a: IntMat) -> tuple[IntMat, IntMat, IntMat]:
-    """Return (U, S, V) with U*a*V = S in Smith normal form.
+def smith_normal_form(a) -> IntVec:
+    """Invariant factors d1 | d2 | ... of an integer matrix.
 
-    U and V are unimodular; S is diagonal with nonnegative invariant
-    factors satisfying d1 | d2 | ... .
+    They are the min(m, n) nonnegative diagonal entries of its Smith normal
+    form, reached by integer row and column operations on the matrix alone:
+    no transform is kept, as no caller needs one.
     """
     s = [list(row) for row in a]
     m, n = len(s), len(s[0]) if s else 0
     if any(len(row) != n for row in s):
         raise ValueError("ragged rows")
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
-
-    def add_row(dst, src, c):
-        s[dst] = [x + c * y for x, y in zip(s[dst], s[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
-
-    def negate_row(i):
-        s[i] = [-x for x in s[i]]
-        u[i] = [-x for x in u[i]]
-
-    def swap_cols(i, j):
-        for row in s:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_col(dst, src, c):
-        for row in s:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
 
     t = 0
     while t < min(m, n):
@@ -92,67 +68,74 @@ def smith_normal_form(a: IntMat) -> tuple[IntMat, IntMat, IntMat]:
                     pivot = (i, j)
         if pivot is None:
             break
-        if pivot != (t, t):
-            if pivot[0] != t:
-                swap_rows(t, pivot[0])
-            if pivot[1] != t:
-                swap_cols(t, pivot[1])
+        pi, pj = pivot
+        s[t], s[pi] = s[pi], s[t]
+        for row in s:
+            row[t], row[pj] = row[pj], row[t]
         if s[t][t] < 0:
-            negate_row(t)
+            s[t] = [-x for x in s[t]]
 
         restart = False
         for i in range(t + 1, m):
             if s[i][t] != 0:
-                add_row(i, t, -(s[i][t] // s[t][t]))
-                if s[i][t] != 0:
-                    restart = True
+                c = s[i][t] // s[t][t]
+                s[i] = [x - c * y for x, y in zip(s[i], s[t])]
+                restart = restart or s[i][t] != 0
         if restart:
             continue
         for j in range(t + 1, n):
             if s[t][j] != 0:
-                add_col(j, t, -(s[t][j] // s[t][t]))
-                if s[t][j] != 0:
-                    restart = True
+                c = s[t][j] // s[t][t]
+                for row in s:
+                    row[j] -= c * row[t]
+                restart = restart or s[t][j] != 0
         if restart:
             continue
 
         # Enforce the divisibility chain: drag any non-multiple into row t
         # and restart the reduction with a smaller pivot.
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if s[i][j] % s[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        offender = next(
+            (i for i in range(t + 1, m) if any(x % s[t][t] for x in s[i][t + 1 :])), None
+        )
         if offender is not None:
-            add_row(t, offender, 1)
+            s[t] = [x + y for x, y in zip(s[t], s[offender])]
             continue
         t += 1
 
-    for i in range(min(m, n)):
-        if s[i][i] < 0:
-            negate_row(i)
-
-    return tuple(map(tuple, u)), tuple(map(tuple, s)), tuple(map(tuple, v))
+    return tuple(abs(s[i][i]) for i in range(min(m, n)))
 
 
-def invert_unimodular(b: IntMat) -> IntMat:
+def invert_unimodular(b) -> IntMat:
     """Exact integer inverse of a matrix with |det| = 1.
 
-    Raises NotUnimodular when the determinant is not a unit; the rows of
-    the inverse's transpose are the dual basis of b's rows.
+    Fraction-free Gauss-Jordan elimination on [b | 1]: every entry stays an
+    integer minor, so each division is exact, and the left block ends as
+    d*1 and the right block as d*b^-1, where d = +-det(b). Raises
+    NotUnimodular, naming b's invariant factors, when d is not a unit or a
+    column has no pivot. The rows of the inverse's transpose are the dual
+    basis of b's rows.
     """
-    if any(len(row) != len(b) for row in b):
+    n = len(b)
+    if any(len(row) != n for row in b):
         raise ValueError("matrix is not square")
-    u, s, v = smith_normal_form(b)
-    factors = [s[i][i] for i in range(len(b))]
-    if any(x != 1 for x in factors):
-        raise NotUnimodular(f"matrix has invariant factors {factors}")
-    # u*b*v = 1  =>  b^{-1} = v*u
-    u_cols = tuple(zip(*u))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in u_cols) for row in v)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(b)]
+    d = 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if pivot is None:
+            break
+        m[k], m[pivot] = m[pivot], m[k]
+        rk = m[k]
+        p = rk[k]
+        for i, ri in enumerate(m):
+            if i != k:
+                lead = ri[k]
+                m[i] = [(p * x - lead * y) // d for x, y in zip(ri, rk)]
+        d = p
+    else:  # every column had a pivot
+        if d in (1, -1):
+            return tuple(tuple(d * x for x in row[n:]) for row in m)
+    raise NotUnimodular(f"matrix has invariant factors {list(smith_normal_form(b))}")
 
 
 def _bareiss(rows) -> tuple[int, int]:

@@ -14,27 +14,21 @@ class ClassMonoid:
     """Submonoid of (Z>=0)^k generated by ray classes.
 
     Duplicate class vectors are collapsed to one generator each (the monoid
-    is generated by a set of elements); `sources` keeps the originating ray
-    indices per distinct generator.
+    is generated by a set of elements), kept in sorted order.
     """
 
     generators: tuple[IntVec, ...]
-    sources: tuple[tuple[int, ...], ...]
 
 
 def gamma_of_rayset(classes: ClassTable, ray_indices) -> ClassMonoid:
     """The monoid generated by the classes of the given rays."""
-    by_vector: dict[IntVec, list[int]] = {}
+    gens = set()
     for ray in sorted(ray_indices):
         vec = classes.class_of(ray)
         if all(x == 0 for x in vec):
             raise DegenerateGenerator(f"ray {ray} has zero class")
-        by_vector.setdefault(vec, []).append(ray)
-    gens = tuple(sorted(by_vector))
-    return ClassMonoid(
-        generators=gens,
-        sources=tuple(tuple(by_vector[g]) for g in gens),
-    )
+        gens.add(vec)
+    return ClassMonoid(generators=tuple(sorted(gens)))
 
 
 def in_span(vector: IntVec, gens) -> bool:

@@ -10,7 +10,7 @@ from unifan import validate_fan
 from unifan.coxspace import CoxPoint
 from unifan.families import build, parse_family
 from unifan.fan import Cone, Fan, ray_mask
-from unifan.linalg import q_independent
+from unifan.linalg import NotUnimodular, q_independent
 from unifan.monoid import contains, irreducibles
 from unifan.orbits import OrbitRecord, Verdict
 from unifan.pipeline import analyze_fan
@@ -133,6 +133,122 @@ def radiant_p3_draw(steps: int):
         kept = [c for c in cones if c != sigma]
         cones = sorted(kept + [sorted([i for i in sigma if i != drop] + [len(rays) - 1]) for drop in sigma])
     return rays, cones
+
+
+# The Smith normal form with its transforms, and the inverse read off them,
+# that `linalg.smith_normal_form` and `linalg.invert_unimodular` replaced:
+# the slow exact path the fast ones are cross-checked against.
+
+
+def reference_smith_normal_form(a):
+    """Return (U, S, V) with U*a*V = S in Smith normal form.
+
+    U and V are unimodular; S is diagonal with nonnegative invariant
+    factors satisfying d1 | d2 | ... .
+    """
+    s = [list(row) for row in a]
+    m, n = len(s), len(s[0]) if s else 0
+    if any(len(row) != n for row in s):
+        raise ValueError("ragged rows")
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def swap_rows(i, j):
+        s[i], s[j] = s[j], s[i]
+        u[i], u[j] = u[j], u[i]
+
+    def add_row(dst, src, c):
+        s[dst] = [x + c * y for x, y in zip(s[dst], s[src])]
+        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+
+    def negate_row(i):
+        s[i] = [-x for x in s[i]]
+        u[i] = [-x for x in u[i]]
+
+    def swap_cols(i, j):
+        for row in s:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_col(dst, src, c):
+        for row in s:
+            row[dst] += c * row[src]
+        for row in v:
+            row[dst] += c * row[src]
+
+    t = 0
+    while t < min(m, n):
+        # Pick the smallest-magnitude nonzero entry of the trailing block
+        # as pivot; the magnitude strictly decreases on every restart.
+        pivot = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if s[i][j] != 0 and (pivot is None or abs(s[i][j]) < abs(s[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        if pivot != (t, t):
+            if pivot[0] != t:
+                swap_rows(t, pivot[0])
+            if pivot[1] != t:
+                swap_cols(t, pivot[1])
+        if s[t][t] < 0:
+            negate_row(t)
+
+        restart = False
+        for i in range(t + 1, m):
+            if s[i][t] != 0:
+                add_row(i, t, -(s[i][t] // s[t][t]))
+                if s[i][t] != 0:
+                    restart = True
+        if restart:
+            continue
+        for j in range(t + 1, n):
+            if s[t][j] != 0:
+                add_col(j, t, -(s[t][j] // s[t][t]))
+                if s[t][j] != 0:
+                    restart = True
+        if restart:
+            continue
+
+        # Enforce the divisibility chain: drag any non-multiple into row t
+        # and restart the reduction with a smaller pivot.
+        offender = None
+        for i in range(t + 1, m):
+            for j in range(t + 1, n):
+                if s[i][j] % s[t][t] != 0:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            add_row(t, offender, 1)
+            continue
+        t += 1
+
+    for i in range(min(m, n)):
+        if s[i][i] < 0:
+            negate_row(i)
+
+    return tuple(map(tuple, u)), tuple(map(tuple, s)), tuple(map(tuple, v))
+
+
+def reference_invert_unimodular(b):
+    """Exact integer inverse of a matrix with |det| = 1.
+
+    Raises NotUnimodular when the determinant is not a unit; the rows of
+    the inverse's transpose are the dual basis of b's rows.
+    """
+    if any(len(row) != len(b) for row in b):
+        raise ValueError("matrix is not square")
+    u, s, v = reference_smith_normal_form(b)
+    factors = [s[i][i] for i in range(len(b))]
+    if any(x != 1 for x in factors):
+        raise NotUnimodular(f"matrix has invariant factors {factors}")
+    # u*b*v = 1  =>  b^{-1} = v*u
+    u_cols = tuple(zip(*u))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in u_cols) for row in v)
 
 
 class NotFinite(Exception):

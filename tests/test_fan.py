@@ -9,11 +9,11 @@ import unifan.fan as fan_module
 from unifan.fan import (
     Cone,
     DuplicateRay,
+    Fan,
     FanConditionViolated,
     NonPrimitiveRay,
     NonSimplicialCone,
     NotComplete,
-    _complete_certificate,
     _pairwise_intersection_ok,
     is_complete,
     ray_mask,
@@ -293,7 +293,10 @@ def lp_verdict(dim, rays, cones):
 
 
 def certificate(dim, rays, cones):
-    return _complete_certificate(dim, rays, sorted(Cone(tuple(sorted(c))) for c in cones))
+    """`is_complete` on raw data, also data that `validate_fan` rejects: the
+    certificate reads only `dim`, `rays` and `max_cones`."""
+    maximal = tuple(sorted(Cone(tuple(sorted(c))) for c in cones))
+    return is_complete(Fan(dim, tuple(map(tuple, rays)), maximal, (), {}))
 
 
 def _data(fan):

@@ -151,6 +151,29 @@ def test_every_function_and_method_is_referenced_from_src():
     assert unreferenced == UNREFERENCED_ALLOWED
 
 
+def test_every_dataclass_field_is_read_from_src():
+    """An annotated field of a top-level class that no module reads as an
+    attribute is data built for nobody. Name-based, like the function guard:
+    any `.name` read in `src` counts."""
+    read = {
+        node.attr
+        for tree in MODULES.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = {
+        f"{module}.{top.name}.{item.target.id}"
+        for module, tree in MODULES.items()
+        for top in tree.body
+        if isinstance(top, ast.ClassDef)
+        for item in top.body
+        if isinstance(item, ast.AnnAssign)
+        and isinstance(item.target, ast.Name)
+        and item.target.id not in read
+    }
+    assert not unread, f"fields never read in src: {sorted(unread)}"
+
+
 @pytest.mark.parametrize("name", sorted(MODULES))
 def test_no_matrix_class(name):
     """A matrix is the tuple of its row tuples; no module wraps it in a class."""

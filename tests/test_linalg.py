@@ -5,6 +5,7 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+import unifan.linalg as linalg
 from unifan.linalg import (
     DegenerateGenerator,
     LinearSystem,
@@ -19,6 +20,8 @@ from unifan.linalg import (
     smith_normal_form,
     solve_nonneg,
 )
+
+from conftest import reference_invert_unimodular, reference_smith_normal_form
 
 
 def identity(n):
@@ -38,31 +41,41 @@ def is_row_tuple_matrix(mat) -> bool:
 
 
 class TestSmithNormalForm:
+    """`smith_normal_form` returns the invariant factors; the reference
+    reduction keeps U and V, so its S is checked against the matrix."""
+
     def check_identity(self, a):
-        """U·A·V == S with U and V unimodular, checked with sympy products."""
-        u, s, v = smith_normal_form(a)
+        """U·A·V == S with U and V unimodular for the reference, checked with
+        sympy products, and the factors equal to S's diagonal and sympy's."""
+        u, s, v = reference_smith_normal_form(a)
         U, S, V = sympy.Matrix(u), sympy.Matrix(s), sympy.Matrix(v)
         assert U * sympy.Matrix(a) * V == S
         assert abs(U.det()) == 1
         assert abs(V.det()) == 1
+        factors = smith_normal_form(a)
+        assert factors == tuple(s[i][i] for i in range(len(factors)))
+        if a and a[0]:
+            expected = sympy_snf(sympy.Matrix(a), domain=sympy.ZZ)
+            assert factors == tuple(abs(int(expected[i, i])) for i in range(len(factors)))
         return s
 
     def test_identity(self):
         assert self.check_identity(identity(2)) == identity(2)
+        assert smith_normal_form(identity(2)) == (1, 1)
 
     def test_diag_2_3(self):
         assert self.check_identity(((2, 0), (0, 3))) == ((1, 0), (0, 6))
+        assert smith_normal_form(((2, 0), (0, 3))) == (1, 6)
 
     def test_weighted_projective_ray_matrix(self):
         # ray matrix of the weight-(1,1,2) fan: cokernel has rank one
-        _, s, _ = smith_normal_form(((1, 0), (0, 1), (-1, -2)))
-        assert [s[i][i] for i in range(2)] == [1, 1]
+        assert smith_normal_form(((1, 0), (0, 1), (-1, -2))) == (1, 1)
 
-    def test_returns_tuples_of_int_tuples(self):
-        a = [[2, 4, 4], [-6, 6, 12]]
-        assert all(is_row_tuple_matrix(x) for x in smith_normal_form(a))
-        assert [len(x) for x in smith_normal_form(a)] == [2, 2, 3]
-        assert smith_normal_form(()) == ((), (), ())
+    def test_returns_a_tuple_of_ints(self):
+        factors = smith_normal_form([[2, 4, 4], [-6, 6, 12]])
+        assert type(factors) is tuple and all(type(x) is int for x in factors)
+        assert factors == (2, 6)
+        assert smith_normal_form(()) == ()
 
     def test_ragged_rows(self):
         with pytest.raises(ValueError, match="ragged rows"):
@@ -83,14 +96,6 @@ class TestSmithNormalForm:
                 for j in range(n):
                     if i != j:
                         assert s[i][j] == 0
-            expected = sympy_snf(sympy.Matrix(a), domain=sympy.ZZ)
-            got = sorted(abs(x) for x in diag if x != 0)
-            want = sorted(
-                abs(expected[i, i])
-                for i in range(min(m, n))
-                if expected[i, i] != 0
-            )
-            assert got == want
 
     def test_larger_entries(self):
         rng = random.Random(777)
@@ -100,6 +105,14 @@ class TestSmithNormalForm:
             diag = [s[i][i] for i in range(min(m, n))]
             for x, y in zip(diag, diag[1:]):
                 assert (x == 0 and y == 0) or (x != 0 and y % x == 0)
+
+    def test_agrees_with_reference_on_random_shapes(self):
+        rng = random.Random(5000)
+        for _ in range(5000):
+            m, n = rng.randint(0, 6), rng.randint(0, 6)
+            a = random_matrix(rng, m, n, 9)
+            _, s, _ = reference_smith_normal_form(a)
+            assert smith_normal_form(a) == tuple(s[i][i] for i in range(min(m, n)))
 
 
 class TestInvertUnimodular:
@@ -131,6 +144,78 @@ class TestInvertUnimodular:
                 continue
             count += 1
             assert sympy.Matrix(invert_unimodular(b)) * sympy.Matrix(b) == sympy.eye(n)
+
+    def test_singular_message(self):
+        with pytest.raises(NotUnimodular) as info:
+            invert_unimodular(((1, 2), (2, 4)))
+        assert str(info.value) == "matrix has invariant factors [1, 0]"
+
+
+def outcome(invert, b):
+    """The inverse, or the NotUnimodular message."""
+    try:
+        return invert(b)
+    except NotUnimodular as exc:
+        return f"NotUnimodular: {exc}"
+
+
+def random_unimodular(rng, n, steps):
+    """The identity after `steps` random elementary row operations: a row
+    swap, a row negation or adding a multiple of one row to another."""
+    rows = [list(row) for row in identity(n)]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        kind = rng.randrange(3)
+        if kind == 0:
+            rows[i], rows[j] = rows[j], rows[i]
+        elif kind == 1 or i == j:
+            rows[i] = [-x for x in rows[i]]
+        else:
+            c = rng.randint(-3, 3)
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    return tuple(map(tuple, rows))
+
+
+class TestInvertUnimodularAgainstReference:
+    """Fraction-free Gauss-Jordan against the inverse read off the Smith
+    transforms: the same inverse or the same NotUnimodular message."""
+
+    def test_random_square_matrices(self):
+        rng = random.Random(20000)
+        failures = 0
+        for _ in range(20000):
+            n = rng.randint(0, 5)
+            b = random_matrix(rng, n, n, 3)
+            want = outcome(reference_invert_unimodular, b)
+            assert outcome(invert_unimodular, b) == want, b
+            failures += isinstance(want, str)
+        # most draws are not unimodular, so the messages are compared too
+        assert 10000 < failures < 20000
+
+    def test_random_unimodular_matrices(self):
+        rng = random.Random(8)
+        for n in range(1, 9):
+            for _ in range(30):
+                b = random_unimodular(rng, n, rng.randint(0, 4 * n))
+                inverse = invert_unimodular(b)
+                assert inverse == reference_invert_unimodular(b)
+                assert sympy.Matrix(inverse) * sympy.Matrix(b) == sympy.eye(n)
+
+
+class TestInverseNeedsNoSmithForm:
+    """The Smith form only names the factors of a matrix that fails."""
+
+    def test_unimodular_matrices(self, monkeypatch):
+        def forbidden(a):
+            raise AssertionError("smith_normal_form was called")
+
+        monkeypatch.setattr(linalg, "smith_normal_form", forbidden)
+        rng = random.Random(9)
+        for n in range(6):
+            b = random_unimodular(rng, n, 3 * n)
+            assert sympy.Matrix(invert_unimodular(b)) * sympy.Matrix(b) == sympy.eye(n)
+        with pytest.raises(AssertionError, match="smith_normal_form was called"):
+            invert_unimodular(((2, 0), (0, 1)))
 
 
 class TestIntDet:

@@ -1,9 +1,11 @@
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
 
 from unifan.classgroup import radiant_classes
+from unifan.linalg import DegenerateGenerator
 from unifan.monoid import contains, gamma_of_rayset, in_span, irreducibles, is_free
 from unifan.radiance import find_bilateral
 
@@ -25,7 +27,6 @@ class TestGammaOfRayset:
         table = table_of(p123)
         monoid = gamma_of_rayset(table, [0, 1])
         assert monoid.generators == ((2,), (3,))
-        assert monoid.sources == ((0,), (1,))
 
     def test_hirzebruch_two_without_first_negative(self, f2):
         table = table_of(f2)
@@ -36,11 +37,16 @@ class TestGammaOfRayset:
         table = table_of(f2)
         monoid = gamma_of_rayset(table, [0, 1, 2, 3])
         assert monoid.generators == ((0, 1), (1, 0), (2, 1))
-        assert monoid.sources[monoid.generators.index((1, 0))] == (0, 2)
 
     def test_empty(self, f2):
         monoid = gamma_of_rayset(table_of(f2), [])
         assert monoid.generators == ()
+
+    def test_zero_class_names_the_first_ray(self, f2):
+        table = table_of(f2)
+        zero = replace(table, classes=((1, 0), (0, 0), (1, 0), (0, 0)))
+        with pytest.raises(DegenerateGenerator, match=r"^ray 1 has zero class$"):
+            gamma_of_rayset(zero, [3, 0, 1])
 
 
 class TestContains:
@@ -175,9 +181,7 @@ class TestMonoidProperties:
         table = table_of(f2)
         full = gamma_of_rayset(table, [0, 1, 2, 3])
         irr = irreducibles(full)
-        reduced = gamma_of_rayset(
-            table, [r for g in full.sources for r in g if table.class_of(r) in irr]
-        )
+        reduced = gamma_of_rayset(table, [r for r in range(4) if table.class_of(r) in irr])
         for _ in range(100):
             target = (rng.randint(0, 8), rng.randint(0, 8))
             assert contains(full, target) == contains(reduced, target)

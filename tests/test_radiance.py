@@ -1,14 +1,26 @@
 from itertools import combinations
 
+import pytest
+
+import unifan.linalg as linalg
+import unifan.radiance as radiance
+from unifan.classgroup import ClassGroupInfo, class_group
+from unifan.fan import validate_fan
 from unifan.linalg import NotUnimodular, invert_unimodular
 from unifan.radiance import BilateralStructure, find_bilateral, iter_bilateral_structures
 
 from conftest import (
     FAMILY_SPECS,
+    RADIANT_FIXTURES,
     del_pezzo6,
     family,
     negative_surface,
+    p1_power,
+    product_of,
+    radiant_p3_draw,
     random_surfaces,
+    reference_invert_unimodular,
+    reference_smith_normal_form,
 )
 
 
@@ -103,3 +115,45 @@ class TestMaximalConeSearch:
             assert structures == reference_bilateral_structures(fan)
             found += bool(structures)
         assert 0 < found < len(fans)
+
+
+def reference_class_group(fan):
+    """The class group read off the diagonal of the reference Smith form."""
+    _, s, _ = reference_smith_normal_form(fan.ray_vectors())
+    diag = [s[i][i] for i in range(min(fan.num_rays, fan.dim))]
+    return ClassGroupInfo(
+        free_rank=fan.num_rays - sum(1 for x in diag if x != 0),
+        torsion_invariants=tuple(x for x in diag if x > 1),
+    )
+
+
+def cross_check_fans():
+    fans = [family(spec) for spec in FAMILY_SPECS]
+    fans += [family(spec) for spec in sorted(RADIANT_FIXTURES.values())]
+    fans += random_surfaces()
+    fans += [p1_power(3), product_of(family("pn:2"), family("pn:1")), p1_power(6)]
+    fans.append(validate_fan(3, *radiant_p3_draw(14), require_complete=True))
+    return fans
+
+
+class TestAgainstReferenceInverse:
+    """The bilateral search and the class group are unchanged when the
+    inverse and the invariant factors come from the reference Smith form."""
+
+    def test_find_bilateral_and_class_group(self, monkeypatch):
+        fans = cross_check_fans()
+        found = [find_bilateral(fan) for fan in fans]
+        groups = [class_group(fan) for fan in fans]
+        monkeypatch.setattr(radiance, "invert_unimodular", reference_invert_unimodular)
+        assert found == [find_bilateral(fan) for fan in fans]
+        assert groups == [reference_class_group(fan) for fan in fans]
+        assert None in found and any(found)
+
+    @pytest.mark.parametrize("spec", sorted(RADIANT_FIXTURES.values()))
+    def test_success_path_needs_no_smith_form(self, monkeypatch, spec):
+        def forbidden(a):
+            raise AssertionError("smith_normal_form was called")
+
+        fan = family(spec)
+        monkeypatch.setattr(linalg, "smith_normal_form", forbidden)
+        assert find_bilateral(fan) is not None
