@@ -6,13 +6,14 @@ import argparse
 import json
 import random
 import sys
+from itertools import islice
 
 from . import __version__
 from .coxspace import apply_root, apply_torus, random_rational, random_stratum_point
 from .families import InvalidSpec, NotApplicable, build, cross_check, parse_family
 from .fan import Fan, FanError, _is_int, validate_fan
 from .linalg import InvariantViolation
-from .orbits import enumerate_basic_subsets, with_membership
+from .orbits import enumerate_basic_subsets, random_basic_subsets, with_membership
 from .pipeline import FanAnalysis, analyze_fan
 
 _JSON_SAFE = 2**53 - 1
@@ -114,30 +115,34 @@ def _verdict_payload(verdict) -> dict:
 def _oracle_check(analysis: FanAnalysis, seed: int, trials: int = 30) -> dict:
     """Seeded spot-check of the action simulator against the analysis.
 
-    On a radiant fan all basic subsets are enumerated. On a finite verdict,
-    the (rays, hat) pairs of those inside the quotient domain must be the
-    catalog's, read off the maximal cones; otherwise `InvariantViolation` is
-    raised. Then, on random points of random strata, unipotent root
+    On a finite verdict all basic subsets are enumerated: the (rays, hat)
+    pairs of those inside the quotient domain must be the catalog's, read off
+    the maximal cones, or `InvariantViolation` is raised, and each trial
+    draws one of them. On an infinite verdict each trial's basic subset comes
+    from one seeded random descent of the basic-subset search, and none is
+    enumerated. Then, on random points of the drawn strata, unipotent root
     subgroups whose distinguished ray sits in the member-or-hat set must act
     trivially and the torus must preserve zero patterns.
     """
     if analysis.bilateral is None:
         return {"seed": seed, "trials": 0, "failures": 0}
-    basics = with_membership(
-        analysis.fan, enumerate_basic_subsets(analysis.classes, analysis.precedence)
-    )
+    rng = random.Random(seed)
     if analysis.verdict.finite:
+        basics = with_membership(
+            analysis.fan, enumerate_basic_subsets(analysis.classes, analysis.precedence)
+        )
         found = sorted((b.rays_mask, b.hat_mask) for b in basics if b.in_x_hat)
         read = sorted((r.basic.rays_mask, r.basic.hat_mask) for r in analysis.catalog)
         if found != read:
             raise InvariantViolation(
                 "the orbit catalog differs from the basic subsets in the quotient domain"
             )
-    rng = random.Random(seed)
+        draws = (rng.choice(basics) for _ in range(trials))
+    else:
+        draws = random_basic_subsets(analysis.classes, analysis.precedence, rng)
     in_u_roots = [r for r in analysis.roots if r.in_u]
     failures = 0
-    for _ in range(trials):
-        basic = rng.choice(basics)
+    for basic in islice(draws, trials):
         point = random_stratum_point(analysis.fan, basic, rng)
         frozen = set(basic.rays) | set(basic.hat)
         candidates = [r for r in in_u_roots if r.distinguished_ray in frozen]

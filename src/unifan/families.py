@@ -121,13 +121,18 @@ def cross_check(fan: Fan, verdict: Verdict) -> CheckReport:
     negative-ray patterns, up to swapping the basis coordinates.
     """
     info = class_group(fan)
+    rank_one = info.free_rank == 1 and not info.torsion_invariants
+    if not rank_one and fan.dim != 2:
+        raise NotApplicable(
+            "no recognizer for this fan (dim > 2 with class rank != 1)"
+        )
     bilateral = find_bilateral(fan)
     recognizers: list[str] = []
     predictions: list[bool] = []
     weights = None
     patterns = None
 
-    if info.free_rank == 1 and not info.torsion_invariants:
+    if rank_one:
         recognizers.append("class-rank-one")
         if bilateral is None:
             predictions.append(False)
@@ -153,10 +158,6 @@ def cross_check(fan: Fan, verdict: Verdict) -> CheckReport:
             )
             predictions.append(_surface_pattern_finite(patterns))
 
-    if not recognizers:
-        raise NotApplicable(
-            "no recognizer for this fan (dim > 2 with class rank != 1)"
-        )
     agree = all(p == verdict.finite for p in predictions)
     return CheckReport(
         recognizers=tuple(recognizers),

@@ -3,10 +3,13 @@ catalog with its torus-orbit decomposition.
 
 Ray sets are integer bitmasks (bit r is ray r). The catalog of a finite
 verdict is read off the maximal cones, one record each (`build_catalog`).
-All basic subsets are enumerated only to check that catalog against the
-search it replaced (`unifan analyze --check`).
+The basic subsets form a search tree under one per-node rule
+(`_basic_subset_rule`). `unifan analyze --check` walks all of it only on a
+finite verdict, to check the catalog against the search it replaced
+(`enumerate_basic_subsets`); on an infinite verdict it draws its trials by
+seeded random descents (`random_basic_subsets`), one path each.
 
-In the enumeration, monoid membership needs no search per query. In a
+In the search, monoid membership needs no search per query. In a
 radiant class table every class that is not a unit vector belongs to a
 positive ray, so at most `dim` classes are not units; each distinct one gets
 a bit. A ray set S then has the key (U, q): U is the mask of the unit
@@ -14,13 +17,14 @@ coordinates covered by its unit classes and q the mask of its non-unit
 classes. The antichain A(c, q) holds the minimal supports of the residuals
 c - sum a_i p_i >= 0 with every p_i in q, and c lies in the monoid of S iff
 some support in A(c, q) is a subset of U. Each A(c, q) is built on first use
-and kept for the rest of one `enumerate_basic_subsets` call.
+and kept for the life of one rule, so the draws of one oracle run share them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from typing import Iterator
 
 from .classgroup import ClassTable
 from .demazure import PrecedenceRelation
@@ -95,19 +99,29 @@ def _antichain(vector: IntVec, gens) -> tuple[int, ...]:
     return tuple(m for m in supports if not any(o != m and o & m == o for o in supports))
 
 
-def enumerate_basic_subsets(
-    classes: ClassTable, precedence: PrecedenceRelation
-) -> list[BasicSubset]:
-    """All basic subsets, found by pruned depth-first search in lex order.
+# The root of the basic-subset search: the empty set, with an empty key.
+_ROOT = (0, (), 0, 0, 0, 0, 0)
+
+
+def _basic_subset_rule(classes: ClassTable, precedence: PrecedenceRelation):
+    """The per-node rule of the basic-subset search, as a function of a node.
+
+    A node is (mask, non-unit members, U, rays of the unit classes in U, q,
+    precedence predecessors of the members, first ray that may extend it);
+    `_ROOT` is the empty set. The rule returns the node's `BasicSubset`, with
+    its hat, and its children, the basic sets S + x with x above every
+    member, in descending order of x, so that a stack pops them in lex
+    order.
 
     Supersets of non-basic sets are non-basic (the monoid only grows), so
-    the search only extends basic prefixes; the empty set is basic. S + x is
+    the search only extends basic sets; the empty set is basic. S + x is
     basic iff the class of x lies outside the monoid of S and no member's
     class lies in the monoid of the others. A basic set has pairwise distinct
     classes, so the key of S + x - r is that of S with the bits of x set and
     those of r cleared. A unit class lies in a monoid only as a generator, so
     only the non-unit members, at most `dim`, need a test, and a unit class is
-    outside the monoid of S iff its coordinate is not in U.
+    outside the monoid of S iff its coordinate is not in U. Each antichain is
+    built on first use and kept for the life of the rule.
     """
     d = len(classes.classes)
     distinct = sorted(set(classes.classes))
@@ -144,18 +158,13 @@ def enumerate_basic_subsets(
                 return True
         return False
 
-    out: list[BasicSubset] = []
-    # A node: (mask, non-unit members, U, rays of the unit classes in U, q,
-    # precedence predecessors of the members, first ray that may extend it).
-    # Children are pushed highest ray first, so they pop in lex order.
-    stack = [(0, (), 0, 0, 0, 0, 0)]
-    while stack:
-        mask, members, units, covered, q, preceding, start = stack.pop()
+    def expand(node):
+        mask, members, units, covered, q, preceding, start = node
         outside = every_unit_ray & ~covered
         for c, rays in carriers.items():
             if not member(c, units, q):
                 outside |= rays
-        out.append(BasicSubset(mask, (outside | preceding) & ~mask))
+        children = []
         candidates = outside >> start << start
         while candidates:
             x = candidates.bit_length() - 1
@@ -165,7 +174,7 @@ def enumerate_basic_subsets(
                 if member(class_id[r], units_x, q_x & ~q_bit[r]):
                     break
             else:
-                stack.append(
+                children.append(
                     (
                         mask | 1 << x,
                         members + (x,) if q_bit[x] else members,
@@ -176,7 +185,51 @@ def enumerate_basic_subsets(
                         x + 1,
                     )
                 )
+        return BasicSubset(mask, (outside | preceding) & ~mask), children
+
+    return expand
+
+
+def enumerate_basic_subsets(
+    classes: ClassTable, precedence: PrecedenceRelation
+) -> list[BasicSubset]:
+    """All basic subsets, found by depth-first search in lex order."""
+    expand = _basic_subset_rule(classes, precedence)
+    out: list[BasicSubset] = []
+    stack = [_ROOT]
+    while stack:
+        basic, children = expand(stack.pop())
+        out.append(basic)
+        stack += children
     return out
+
+
+def random_basic_subsets(
+    classes: ClassTable, precedence: PrecedenceRelation, rng
+) -> Iterator[BasicSubset]:
+    """Endless seeded draws of basic subsets, one descent of the search each.
+
+    A descent starts at the empty set. At a node with k children it stops
+    with probability 1/(k + 1), yielding the node's record, and otherwise
+    moves to a uniformly chosen child. Every basic subset can be drawn, not
+    uniformly, and a draw costs at most one root-to-leaf path. All draws share
+    one rule, and so one antichain cache, and expand each node once: records
+    drawn twice are one object.
+    """
+    expand = _basic_subset_rule(classes, precedence)
+    expanded = {}  # mask -> (record, children)
+    while True:
+        node = _ROOT
+        while True:
+            step = expanded.get(node[0])
+            if step is None:
+                step = expanded[node[0]] = expand(node)
+            basic, children = step
+            pick = rng.randrange(len(children) + 1)
+            if pick == len(children):
+                yield basic
+                break
+            node = children[pick]
 
 
 def with_membership(fan: Fan, basics) -> list[BasicSubset]:

@@ -1,9 +1,13 @@
 import pytest
 
+from unifan.classgroup import class_group, radiant_classes
 from unifan.families import (
+    CheckReport,
     FamilySpec,
     InvalidSpec,
     NotApplicable,
+    _divisibility_chain,
+    _surface_pattern_finite,
     build,
     cross_check,
     parse_family,
@@ -12,7 +16,17 @@ from unifan.fan import is_complete, validate_fan
 from unifan.pipeline import analyze_fan
 from unifan.radiance import find_bilateral
 
-from conftest import del_pezzo6, family, finiteness_verdict, negative_surface
+from conftest import (
+    FAMILY_SPECS,
+    del_pezzo6,
+    family,
+    finiteness_verdict,
+    negative_surface,
+    p1_power,
+    product_of,
+    radiant_p3_draw,
+    random_surfaces,
+)
 
 
 class TestParseFamily:
@@ -169,3 +183,97 @@ class TestCrossCheck:
         verdict = finiteness_verdict(fan)
         with pytest.raises(NotApplicable):
             cross_check(fan, verdict)
+
+    def test_not_applicable_before_the_bilateral_search(self, monkeypatch):
+        """Applicability is read off the class group and the dimension, so
+        a fan of dim > 2 and class rank != 1 runs no bilateral search, radiant
+        (P1^3) or not (dP6 x P1)."""
+        fans = [p1_power(3), product_of(del_pezzo6(), family("pn:1"))]
+        verdicts = [finiteness_verdict(fan) for fan in fans]
+
+        def forbidden(fan):
+            raise RuntimeError("cross_check ran the bilateral search")
+
+        monkeypatch.setattr("unifan.families.find_bilateral", forbidden)
+        for fan, verdict in zip(fans, verdicts):
+            with pytest.raises(NotApplicable) as info:
+                cross_check(fan, verdict)
+            assert str(info.value) == "no recognizer for this fan (dim > 2 with class rank != 1)"
+
+
+def reference_cross_check(fan, verdict) -> CheckReport:
+    """Independent classification recognizers against the computed verdict.
+
+    Rank-one class group: finite exactly for weight multisets starting 1, 1
+    with a divisibility chain. Surfaces: finite exactly for the three known
+    negative-ray patterns, up to swapping the basis coordinates.
+    """
+    info = class_group(fan)
+    bilateral = find_bilateral(fan)
+    recognizers: list[str] = []
+    predictions: list[bool] = []
+    weights = None
+    patterns = None
+
+    if info.free_rank == 1 and not info.torsion_invariants:
+        recognizers.append("class-rank-one")
+        if bilateral is None:
+            predictions.append(False)
+        else:
+            classes = radiant_classes(fan, bilateral)
+            weights = tuple(
+                sorted([1] + [classes.class_of(eps)[0] for eps in bilateral.positive])
+            )
+            predictions.append(
+                weights[0] == 1 and weights[1] == 1 and _divisibility_chain(weights)
+            )
+
+    if fan.dim == 2:
+        recognizers.append("surface")
+        if bilateral is None:
+            predictions.append(False)
+        else:
+            patterns = tuple(
+                sorted(
+                    tuple(-c for c in bilateral.coordinates(fan.ray_vector(tau)))
+                    for tau in bilateral.negative
+                )
+            )
+            predictions.append(_surface_pattern_finite(patterns))
+
+    if not recognizers:
+        raise NotApplicable(
+            "no recognizer for this fan (dim > 2 with class rank != 1)"
+        )
+    agree = all(p == verdict.finite for p in predictions)
+    return CheckReport(
+        recognizers=tuple(recognizers),
+        predictions=tuple(predictions),
+        verdict_finite=verdict.finite,
+        agree=agree,
+        weights=weights,
+        negative_patterns=patterns,
+    )
+
+
+def outcome(check, fan, verdict):
+    try:
+        return check(fan, verdict)
+    except NotApplicable as exc:
+        return "NotApplicable", str(exc)
+
+
+def test_cross_check_matches_reference():
+    """`cross_check` (applicability first) against the parent's version,
+    which ran the bilateral search first (kept verbatim above)."""
+    fans = [family(spec) for spec in FAMILY_SPECS] + random_surfaces()
+    fans += [del_pezzo6(), negative_surface(2), p1_power(1), p1_power(3)]
+    fans += [product_of(family("pn:2"), family("pn:1")), product_of(del_pezzo6(), family("pn:1"))]
+    fans.append(validate_fan(3, *radiant_p3_draw(4), require_complete=True))
+    applicable = 0
+    for fan in fans:
+        verdict = finiteness_verdict(fan)
+        expected = outcome(reference_cross_check, fan, verdict)
+        assert outcome(cross_check, fan, verdict) == expected
+        applicable += isinstance(expected, CheckReport)
+    assert 0 < applicable < len(fans)
