@@ -6,7 +6,8 @@ import argparse
 import json
 import random
 import sys
-from itertools import islice
+from itertools import chain, islice, repeat
+from operator import attrgetter
 
 from . import __version__
 from .coxspace import apply_root, apply_torus, random_rational, random_stratum_point
@@ -98,6 +99,78 @@ def _json_text(value, indent: str = "") -> str:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
+_KIND_TEXT = {True: '"semisimple"', False: '"unipotent"'}
+_FLAG_TEXT = {True: "true", False: "false", None: "null"}
+
+
+def report_json(report: dict, roots=None) -> str:
+    """The text of `_json_text(report)` with, given `roots`, the report's
+    `roots` object extended by a `list` of one object per `DemazureRoot`
+    (`e`, `distinguished_ray`, `kind`, `in_unipotent_group`), as
+    `json.dumps(..., indent=2)` would write it after the 2^53 rule.
+
+    The roots are written straight from their records: one format string
+    at the list's fixed indent, with a slot per entry of `e` (every root of
+    a fan has the fan's dimension), so no per-root dict is built. All the
+    chunks of the report go into one flat list that is joined once.
+    """
+    chunks = ["{"]
+    sep = "\n  "
+    for key, value in report.items():
+        chunks += (sep, _encode_str(key), ": ")
+        sep = ",\n  "
+        if key != "roots":
+            chunks.append(_json_text(value, "  "))
+            continue
+        lead = "{"
+        for name, count in value.items():
+            chunks += (lead, "\n    ", _encode_str(name), ": ", _json_text(count, "    "))
+            lead = ","
+        if roots is not None:
+            chunks += (lead, '\n    "list": ')
+            _root_list_chunks(roots, chunks)
+        chunks.append("\n  }")
+    chunks.append("\n}")
+    return "".join(chunks)
+
+
+def _root_list_chunks(roots, chunks: list) -> None:
+    """Append the JSON text of the root list at its fixed indent to `chunks`,
+    one chunk per root, each with the separator before it."""
+    if not roots:
+        chunks.append("[]")
+        return
+    dim = len(roots[0].e)
+    e_text = "[\n" + ",\n".join(["          %s"] * dim) + "\n        ]"
+    template = (
+        '%s{\n        "e": ' + e_text + ',\n        "distinguished_ray": %s,'
+        '\n        "kind": %s,\n        "in_unipotent_group": %s\n      }'
+    )
+    seps = chain(["[\n      "], repeat(",\n      "))
+    ints = chain(
+        chain.from_iterable(map(attrgetter("e"), roots)),
+        map(attrgetter("distinguished_ray"), roots),
+    )
+    if max(map(abs, ints)) <= _JSON_SAFE:
+        chunks += [
+            template % (sep, *r.e, r.distinguished_ray, _KIND_TEXT[r.semisimple], _FLAG_TEXT[r.in_u])
+            for sep, r in zip(seps, roots)
+        ]
+    else:  # some integer is written as a string
+        chunks += [
+            template
+            % (
+                sep,
+                *map(_json_text, r.e),
+                _json_text(r.distinguished_ray),
+                _KIND_TEXT[r.semisimple],
+                _FLAG_TEXT[r.in_u],
+            )
+            for sep, r in zip(seps, roots)
+        ]
+    chunks.append("\n    ]")
+
+
 def _verdict_payload(verdict) -> dict:
     return {
         "finite": verdict.finite,
@@ -158,7 +231,7 @@ def _oracle_check(analysis: FanAnalysis, seed: int, trials: int = 30) -> dict:
     return {"seed": seed, "trials": trials, "failures": failures}
 
 
-def build_report(analysis: FanAnalysis, include_orbits, include_roots, check, seed):
+def build_report(analysis: FanAnalysis, include_orbits, check, seed):
     fan = analysis.fan
     report = {
         "tool": {"name": "unifan", "version": __version__},
@@ -198,16 +271,6 @@ def build_report(analysis: FanAnalysis, include_orbits, include_roots, check, se
         report["precedence"] = sorted(
             [list(p) for p in analysis.precedence.pairs]
         )
-    if include_roots:
-        report["roots"]["list"] = [
-            {
-                "e": list(r.e),
-                "distinguished_ray": r.distinguished_ray,
-                "kind": r.kind,
-                "in_unipotent_group": r.in_u,
-            }
-            for r in analysis.roots
-        ]
     if include_orbits and analysis.catalog is not None:
         report["orbits"] = {
             "dimension_semantics": "derived",
@@ -335,17 +398,14 @@ def cmd_analyze(args) -> int:
     except (FanFileError, FanError, InvalidSpec, ValueError) as exc:
         return _emit_error(exc)
     try:
+        analysis = analyze_fan(fan)
         report = build_report(
-            analyze_fan(fan),
-            include_orbits=args.orbits,
-            include_roots=args.roots,
-            check=args.check,
-            seed=args.seed,
+            analysis, include_orbits=args.orbits, check=args.check, seed=args.seed
         )
     except InvariantViolation as exc:
         return _emit_error(exc)
     if args.format == "json":
-        print(_json_text(report))
+        print(report_json(report, analysis.roots if args.roots else None))
     else:
         sys.stdout.write(render_text(report))
     return 0

@@ -8,10 +8,13 @@ from collections import OrderedDict, namedtuple
 
 import pytest
 
-from unifan.cli import _json_text, build_report
+from unifan.cli import _json_text, build_report, report_json
+from unifan.demazure import DemazureRoot
 from unifan.pipeline import analyze_fan
 
-from conftest import RADIANT_FIXTURES, family
+from conftest import FAMILY_SPECS, RADIANT_FIXTURES, family, random_surfaces
+from test_demazure import PRODUCTS
+from test_projection_chain import ROOTS_WORKLOAD
 
 _JSON_SAFE = 2**53 - 1
 
@@ -85,12 +88,104 @@ def nested(depth: int):
     return tree
 
 
+def with_root_list(report: dict, roots) -> dict:
+    """The report with the root list that `build_report` used to add under
+    `--roots`, one dict per root: the reference for `report_json`."""
+    if roots is None:
+        return report
+    report = {**report, "roots": {**report["roots"]}}
+    report["roots"]["list"] = [
+        {
+            "e": list(r.e),
+            "distinguished_ray": r.distinguished_ray,
+            "kind": r.kind,
+            "in_unipotent_group": r.in_u,
+        }
+        for r in roots
+    ]
+    return report
+
+
+def assert_writer_matches(report: dict, roots) -> None:
+    assert report_json(report, roots) == reference_text(with_root_list(report, roots))
+
+
+def is_plain_tree(value) -> bool:
+    if type(value) is dict:
+        return all(type(k) is str and is_plain_tree(v) for k, v in value.items())
+    if type(value) in (list, tuple):
+        return all(is_plain_tree(x) for x in value)
+    return value is None or type(value) in (bool, int, str)
+
+
 @pytest.mark.parametrize("spec", sorted(RADIANT_FIXTURES.values()))
 def test_fixture_reports(spec):
     analysis = analyze_fan(family(spec))
     for orbits, roots, check in itertools.product([False, True], repeat=3):
-        report = build_report(analysis, orbits, roots, check, seed=5)
-        assert _json_text(report) == reference_text(report), (spec, orbits, roots, check)
+        report = build_report(analysis, orbits, check, seed=5)
+        assert is_plain_tree(report) and "list" not in report["roots"]
+        assert report_json(report) == _json_text(report) == reference_text(report)
+        assert_writer_matches(report, analysis.roots if roots else None)
+
+
+def assert_corpus(fans) -> int:
+    """Check the writer on each fan's report with its root list; returns the
+    number of roots written."""
+    written = 0
+    for fan in fans:
+        analysis = analyze_fan(fan)
+        assert_writer_matches(build_report(analysis, False, False, seed=0), analysis.roots)
+        written += len(analysis.roots)
+    return written
+
+
+class TestRootListAgainstReference:
+    """`report_json` writes the root list from the records; the reference
+    is `json.dumps` of the report with one dict per root. The radiant
+    fixtures are covered by `test_fixture_reports`."""
+
+    def test_family_specs(self):
+        assert assert_corpus(family(spec) for spec in FAMILY_SPECS) > 0
+
+    def test_random_surfaces(self):
+        fans = random_surfaces()
+        assert any(analyze_fan(fan).bilateral is None for fan in fans)
+        assert assert_corpus(fans) > 0
+
+    @pytest.mark.parametrize("name", sorted(PRODUCTS))
+    def test_products(self, name):
+        assert assert_corpus([PRODUCTS[name]()]) > 0
+
+    @pytest.mark.parametrize("spec", ROOTS_WORKLOAD)
+    def test_roots_workload(self, spec):
+        assert assert_corpus([family(spec)]) > 500
+
+
+HAND_MADE_ROOTS = {
+    "empty": [],
+    "flags": [
+        DemazureRoot((1, 0), 0, True, True),
+        DemazureRoot((-1, 0), 2, True, False),
+        DemazureRoot((0, -1), 1, False, None),
+    ],
+    "safe-edge": [
+        DemazureRoot((_JSON_SAFE, -_JSON_SAFE), 3, False, True),
+        DemazureRoot((0, 1), 0, True, None),
+    ],
+    "past-2^53": [
+        DemazureRoot((2**53, -(2**53)), 1, False, True),
+        DemazureRoot((0, -1), 4, True, False),
+    ],
+    "big-ray": [DemazureRoot((1, -1), 2**53 + 1, False, None)],
+    "safe-ray": [DemazureRoot((1, -1), _JSON_SAFE, True, True)],
+    "one-dimensional": [DemazureRoot((-1,), 0, True, True), DemazureRoot((1,), 1, True, False)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_MADE_ROOTS))
+def test_hand_made_roots(name):
+    report = build_report(analyze_fan(family("wps:1,1,2")), False, True, seed=0)
+    assert_writer_matches(report, HAND_MADE_ROOTS[name])
 
 
 def test_random_trees():
