@@ -1,5 +1,10 @@
 """Exact rational simulation of the torus and root-subgroup actions on the
-total coordinate space; serves as the oracle for the invariance properties."""
+total coordinate space.
+
+This is the reference simulator: the tests check the invariance properties
+with it, and check `cli._oracle_check`, which draws only zero patterns from
+the same random stream, against it draw by draw. The CLI does not use it.
+"""
 
 from __future__ import annotations
 

@@ -361,7 +361,10 @@ def del_pezzo6():
 
 
 def negative_surface(d: int):
-    """Radiant surface with negative rays -(1, d) and -(1, 0)."""
+    """Radiant surface with negative rays -(1, d) and -(1, 0), for d >= 1;
+    at d = 0 the two negative rays coincide."""
+    if d < 1:
+        raise ValueError(f"negative_surface needs d >= 1, got {d}")
     return validate_fan(
         2,
         [(1, 0), (0, 1), (-1, -d), (-1, 0)],

@@ -6,9 +6,12 @@ which is not uniform. What makes that safe is the property the trials sample,
 asserted here exhaustively over every basic subset: an in-U root whose
 distinguished ray is a member or in the hat pairs positively with some hat
 ray, so it acts trivially on the stratum. The descent is checked against the
-enumeration, and the oracle against its earlier implementation, which
-enumerated every basic subset of every radiant fan (`reference_oracle_check`,
-kept verbatim).
+enumeration, and the oracle against two earlier implementations, both kept
+verbatim: one enumerated every basic subset of every radiant fan
+(`reference_oracle_check`), the other drew them by descent and simulated
+every trial on `Fraction` points (`descent_reference_oracle_check`). The
+oracle draws only zero masks; it is checked in lockstep against the
+`coxspace` simulator, draw by draw, on one seeded stream per path.
 """
 
 import json
@@ -24,8 +27,9 @@ import pytest
 import unifan
 import unifan.cli
 from unifan import validate_fan
-from unifan.cli import _oracle_check, main
+from unifan.cli import _monomial_rays, _nonzero_draw, _oracle_check, _stratum_zeros, main
 from unifan.coxspace import apply_root, apply_torus, random_rational, random_stratum_point
+from unifan.demazure import DemazureRoot
 from unifan.fan import ray_mask
 from unifan.linalg import InvariantViolation
 from unifan.orbits import (
@@ -211,12 +215,66 @@ def reference_oracle_check(analysis, seed: int, trials: int = 30) -> dict:
     return {"seed": seed, "trials": trials, "failures": failures}
 
 
-def recording(log, draw=random_stratum_point):
-    def record(fan, basic, rng):
+def descent_reference_oracle_check(analysis, seed: int, trials: int = 30) -> dict:
+    """Seeded spot-check of the action simulator against the analysis.
+
+    On a finite verdict all basic subsets are enumerated: the (rays, hat)
+    pairs of those inside the quotient domain must be the catalog's, read off
+    the maximal cones, or `InvariantViolation` is raised, and each trial
+    draws one of them. On an infinite verdict each trial's basic subset comes
+    from one seeded random descent of the basic-subset search, and none is
+    enumerated. Then, on random points of the drawn strata, unipotent root
+    subgroups whose distinguished ray sits in the member-or-hat set must act
+    trivially and the torus must preserve zero patterns.
+    """
+    if analysis.bilateral is None:
+        return {"seed": seed, "trials": 0, "failures": 0}
+    rng = random.Random(seed)
+    if analysis.verdict.finite:
+        basics = with_membership(
+            analysis.fan, enumerate_basic_subsets(analysis.classes, analysis.precedence)
+        )
+        found = sorted((b.rays_mask, b.hat_mask) for b in basics if b.in_x_hat)
+        read = sorted((r.basic.rays_mask, r.basic.hat_mask) for r in analysis.catalog)
+        if found != read:
+            raise InvariantViolation(
+                "the orbit catalog differs from the basic subsets in the quotient domain"
+            )
+        draws = (rng.choice(basics) for _ in range(trials))
+    else:
+        draws = random_basic_subsets(analysis.classes, analysis.precedence, rng)
+    in_u_roots = [r for r in analysis.roots if r.in_u]
+    failures = 0
+    for basic in islice(draws, trials):
+        point = random_stratum_point(analysis.fan, basic, rng)
+        frozen = set(basic.rays) | set(basic.hat)
+        candidates = [r for r in in_u_roots if r.distinguished_ray in frozen]
+        if candidates:
+            root = rng.choice(candidates)
+            moved = apply_root(point, root, random_rational(rng, nonzero=True))
+            if moved.coords != point.coords:
+                failures += 1
+        torus = [random_rational(rng, nonzero=True) for _ in range(analysis.classes.k)]
+        scaled = apply_torus(point, torus, analysis.classes)
+        if scaled.zero_pattern() != point.zero_pattern():
+            failures += 1
+    return {"seed": seed, "trials": trials, "failures": failures}
+
+
+def recording(log, draw):
+    """`draw` with each call's basic subset appended to `log`."""
+
+    def record(fan_or_size, basic, rng):
         log.append((basic.rays_mask, basic.hat_mask, basic.in_x_hat))
-        return draw(fan, basic, rng)
+        return draw(fan_or_size, basic, rng)
 
     return record
+
+
+def hatless(classes, precedence, rng, draw=random_basic_subsets):
+    """The descent's draws with their hats emptied."""
+    for b in draw(classes, precedence, rng):
+        yield BasicSubset(b.rays_mask, 0)
 
 
 def forbidden(name):
@@ -235,14 +293,26 @@ class TestOracleAgainstReference:
         for analysis in finite:
             for seed in (0, 9):
                 fast, slow = [], []
-                monkeypatch.setattr(unifan.cli, "random_stratum_point", recording(fast))
+                monkeypatch.setattr(unifan.cli, "_stratum_zeros", recording(fast, _stratum_zeros))
                 result = _oracle_check(analysis, seed)
-                monkeypatch.setattr(unifan.cli, "random_stratum_point", recording(slow))
-                monkeypatch.setitem(globals(), "random_stratum_point", unifan.cli.random_stratum_point)
+                monkeypatch.setitem(
+                    globals(), "random_stratum_point", recording(slow, random_stratum_point)
+                )
                 expected = reference_oracle_check(analysis, seed)
                 monkeypatch.undo()
                 assert len(fast) == 30 and fast == slow
                 assert result == expected == {"seed": seed, "trials": 30, "failures": 0}
+
+    @pytest.mark.parametrize("corpus", sorted(CORPORA))
+    def test_infinite_verdicts_match_the_descent_reference(self, corpus):
+        infinite = [a for a in analyses(corpus) if not a.verdict.finite]
+        if corpus in ("family_specs", "random_surfaces", "p3_draws"):
+            assert infinite
+        for analysis in infinite:
+            for seed in range(6):
+                assert _oracle_check(analysis, seed) == descent_reference_oracle_check(
+                    analysis, seed
+                )
 
     @pytest.mark.parametrize("corpus", ["family_specs", "random_surfaces", "p3_draws"])
     def test_infinite_verdicts_enumerate_nothing(self, corpus, monkeypatch):
@@ -254,16 +324,73 @@ class TestOracleAgainstReference:
             assert _oracle_check(analysis, 4) == {"seed": 4, "trials": 30, "failures": 0}
 
     def test_empty_hats_are_caught(self, monkeypatch):
-        """Drawn records with their hats emptied make the sampled check fail."""
-
-        def hatless(classes, precedence, rng):
-            for b in random_basic_subsets(classes, precedence, rng):
-                yield BasicSubset(b.rays_mask, 0)
-
+        """Drawn records with their hats emptied make the sampled check fail,
+        as often as they make the rational simulator fail."""
         monkeypatch.setattr(unifan.cli, "random_basic_subsets", hatless)
+        monkeypatch.setitem(globals(), "random_basic_subsets", hatless)
         for corpus in ("random_surfaces", "p3_draws"):
             infinite = [a for a in analyses(corpus) if not a.verdict.finite]
-            assert sum(_oracle_check(a, 0)["failures"] for a in infinite) > 0
+            counts = [_oracle_check(a, 0)["failures"] for a in infinite]
+            assert counts == [descent_reference_oracle_check(a, 0)["failures"] for a in infinite]
+            assert sum(counts) > 0
+
+    @pytest.mark.parametrize("corpus", sorted(CORPORA))
+    def test_empty_hats_match_the_descent_reference(self, corpus, monkeypatch):
+        monkeypatch.setattr(unifan.cli, "random_basic_subsets", hatless)
+        monkeypatch.setitem(globals(), "random_basic_subsets", hatless)
+        for analysis in analyses(corpus):
+            if not analysis.verdict.finite:
+                for seed in range(6):
+                    assert _oracle_check(analysis, seed) == descent_reference_oracle_check(
+                        analysis, seed
+                    )
+
+    def test_a_negative_pairing_raises(self, monkeypatch):
+        """A root that pairs negatively with a non-distinguished ray is refused,
+        as `apply_root` refuses it."""
+        analysis = analyze_fan(family("pn:2"))
+        # Rays (1, 0), (0, 1), (-1, -1): e pairs to -1 with rays 0 and 1.
+        bad = DemazureRoot(e=(-1, -1), distinguished_ray=0, semisimple=False, in_u=True)
+        monkeypatch.setitem(vars(analysis), "roots", [bad])
+        for check in (_oracle_check, reference_oracle_check, descent_reference_oracle_check):
+            with pytest.raises(ValueError, match="pairs negatively with a non-distinguished ray"):
+                check(analysis, 0)
+
+
+class TestZeroMasksInLockstep:
+    """Each draw of the oracle against the same draw of the `coxspace`
+    simulator, on two generators seeded alike: the same zero pattern, the
+    same verdict of every in-U root, the same state after the torus. The
+    oracle only picks roots whose distinguished ray is a member or in the
+    hat, which never move the point; the others here do move some."""
+
+    @pytest.mark.parametrize("corpus", ["fixtures", "random_surfaces"])
+    def test_every_basic_subset(self, corpus):
+        outcomes = {True: 0, False: 0}
+        for analysis in analyses(corpus):
+            fan = analysis.fan
+            in_u = [r for r in analysis.roots if r.in_u]
+            for basic in enumerated(analysis):
+                frozen = basic.rays_mask | basic.hat_mask
+                for seed in range(6):
+                    fast, slow = random.Random(seed), random.Random(seed)
+                    zeros = _stratum_zeros(fan.num_rays, basic, fast)
+                    point = random_stratum_point(fan, basic, slow)
+                    assert zeros == ray_mask(point.zero_pattern())
+                    for root in in_u:
+                        _nonzero_draw(fast)
+                        moved = apply_root(point, root, random_rational(slow, nonzero=True))
+                        moves = zeros & _monomial_rays(fan, root) == 0
+                        assert moves == (moved.coords != point.coords)
+                        assert not (moves and frozen >> root.distinguished_ray & 1)
+                        outcomes[moves] += 1
+                    for _ in range(analysis.classes.k):
+                        _nonzero_draw(fast)
+                    torus = [random_rational(slow, nonzero=True) for _ in range(analysis.classes.k)]
+                    scaled = apply_torus(point, torus, analysis.classes)
+                    assert scaled.zero_pattern() == point.zero_pattern()
+                    assert fast.getstate() == slow.getstate()
+        assert min(outcomes.values()) >= 100, outcomes
 
 
 def write_fan(path, fan):

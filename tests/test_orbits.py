@@ -157,6 +157,10 @@ class TestFinitenessVerdict:
         assert verdict.witness_cone.ray_indices == (2,)
         assert verdict.witness_irreducibles == ((0, 1), (1, 1), (d, 0))
 
+    def test_negative_surface_needs_d_at_least_one(self):
+        with pytest.raises(ValueError, match="d >= 1"):
+            negative_surface(0)
+
     def test_del_pezzo(self, dp6):
         verdict = finiteness_verdict(dp6)
         assert not verdict.finite
