@@ -6,6 +6,7 @@ import argparse
 import json
 import random
 import sys
+from functools import cache
 from itertools import chain, islice, repeat
 from operator import attrgetter
 
@@ -40,9 +41,7 @@ def load_fan_file(path: str):
     for key in ("dim", "rays", "max_cones"):
         if key not in data:
             raise FanFileError(f"fan file is missing {key!r}")
-    dim = data["dim"]
-    rays = data["rays"]
-    max_cones = data["max_cones"]
+    dim, rays, max_cones = data["dim"], data["rays"], data["max_cones"]
     if not _is_int(dim):
         raise FanFileError("dim must be an integer")
     if not isinstance(rays, list) or not all(
@@ -485,7 +484,9 @@ def cmd_build(args) -> int:
     return 0
 
 
+@cache
 def make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; `parse_args` makes a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="unifan",
         description=(

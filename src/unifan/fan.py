@@ -1,9 +1,10 @@
-"""Fan data model, structural validation, the completeness certificate and
-the mask-keyed face index."""
+"""Fan data model, validation and the completeness certificate from the listed
+cones alone, and the mask-keyed face index `Fan.all_cones`, built on first read."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import gcd
 
@@ -75,9 +76,15 @@ class Fan:
     dim: int
     rays: tuple[IntVec, ...]
     max_cones: tuple[Cone, ...]
-    all_cones: tuple[Cone, ...]
-    # ray mask of each cone -> its position in `all_cones`, in that order
-    cone_index: dict[int, int] = field(repr=False, compare=False)
+
+    @cached_property
+    def all_cones(self) -> dict[int, Cone]:
+        """Every cone by its ray mask, in (size, lex) order, built on first read."""
+        by_size = [{()}] + [set() for _ in range(self.dim)]
+        for cone in self.max_cones:
+            for size in range(1, len(cone) + 1):
+                by_size[size].update(combinations(cone.ray_indices, size))
+        return {ray_mask(f): Cone(f) for faces in by_size for f in sorted(faces)}
 
     @property
     def num_rays(self) -> int:
@@ -109,17 +116,13 @@ def _pairwise_intersection_ok(fan_dim, rays, c1: Cone, c2: Cone) -> bool:
         1 if j not in common else 0 for j in vars2
     ]
     equalities.append((tuple(norm), 1))
-    nonneg = []
-    for pos in range(num):
-        vec = [0] * num
-        vec[pos] = 1
-        nonneg.append((tuple(vec), 0))
+    nonneg = [(tuple(int(p == q) for q in range(num)), 0) for p in range(num)]
     system = LinearSystem.make(num, equalities=equalities, inequalities=nonneg)
     return not feasible(system)
 
 
 def validate_fan(dim, rays, max_cones, require_complete: bool = False) -> Fan:
-    """Validate raw fan data and derive the full face list and its index.
+    """Validate raw fan data from its listed cones, building no face.
 
     Checks ray primitivity and distinctness, simpliciality of every cone,
     and that no ray is unused, then asks `is_complete` once (integer
@@ -170,31 +173,27 @@ def validate_fan(dim, rays, max_cones, require_complete: bool = False) -> Fan:
             )
         cones.append(Cone(idx))
 
-    # Normalize the maximal list: drop duplicates and proper faces of
-    # other listed cones. A face of a face is a face, so the faces of all
-    # listed cones are exactly the faces of the maximal ones.
-    cones = sorted(set(cones), key=_sort_key)
-    proper_faces = set()
-    for c in cones:
-        for size in range(len(c.ray_indices)):
-            proper_faces.update(combinations(c.ray_indices, size))
-    maximal = [c for c in cones if c.ray_indices not in proper_faces]
+    # Normalize the maximal list: drop duplicates and proper faces of other
+    # listed cones; the faces of all listed cones are those of the maximal
+    # ones. A simplicial cone has at most `dim` rays, so only a narrower one
+    # can be a proper face: it is tested against the cones of its rarest ray.
+    listed = {ray_mask(c.ray_indices): c for c in sorted(cones, key=_sort_key)}
+    holders = [[] for _ in ray_vecs]  # per ray, the masks of the listed cones holding it
+    for m, c in listed.items():
+        for r in c.ray_indices:
+            holders[r].append(m)
+    maximal = []
+    for m, c in listed.items():
+        near = () if len(c) == dim else min((holders[r] for r in c), key=len, default=listed)
+        if not any(m & o == m != o for o in near):
+            maximal.append(c)
 
     used = {i for c in maximal for i in c.ray_indices}
     missing = sorted(set(range(len(ray_vecs))) - used)
     if missing:
         raise FanConditionViolated(f"rays {missing} belong to no maximal cone")
 
-    faces = proper_faces | {c.ray_indices for c in maximal} | {()}
-    all_cones = tuple(sorted((Cone(f) for f in faces), key=_sort_key))
-
-    fan = Fan(
-        dim=dim,
-        rays=tuple(ray_vecs),
-        max_cones=tuple(maximal),
-        all_cones=all_cones,
-        cone_index={ray_mask(c.ray_indices): i for i, c in enumerate(all_cones)},
-    )
+    fan = Fan(dim=dim, rays=tuple(ray_vecs), max_cones=tuple(maximal))
     if not is_complete(fan):
         for c1, c2 in combinations(maximal, 2):
             if not _pairwise_intersection_ok(dim, ray_vecs, c1, c2):

@@ -28,7 +28,7 @@ from typing import Iterator
 
 from .classgroup import ClassTable
 from .demazure import PrecedenceRelation
-from .fan import Cone, Fan, ray_mask
+from .fan import Cone, Fan, _sort_key, ray_mask
 from .linalg import IntVec, InvariantViolation
 from .monoid import gamma_of_rayset, in_span, irreducibles, is_free
 
@@ -236,9 +236,9 @@ def with_membership(fan: Fan, basics) -> list[BasicSubset]:
     """Fill the `in_x_hat` flag of each record in place: the stratum of a
     basic subset meets the quotient domain iff some maximal cone contains
     the whole hat set, which in a simplicial fan holds iff the hat set is a
-    cone, one lookup in `fan.cone_index`."""
+    cone, one lookup in `fan.all_cones`."""
     for b in basics:
-        b.in_x_hat = b.hat_mask in fan.cone_index
+        b.in_x_hat = b.hat_mask in fan.all_cones
     return basics
 
 
@@ -258,7 +258,7 @@ def non_free_witness(fan: Fan, classes: ClassTable):
         carriers[bit] = carriers.get(bit, 0) | 1 << r
     every = (1 << len(distinct)) - 1
     free: set[int] = set()
-    for cone, inside in zip(fan.all_cones, fan.cone_index):
+    for inside, cone in fan.all_cones.items():
         key = every
         for r in cone.ray_indices:
             if not carriers[class_bit[r]] & ~inside:
@@ -297,22 +297,21 @@ def build_catalog(
         hat = ray_mask(a for a, b in precedence.pairs if members >> b & 1)
         hat |= ray_mask(r for r in sigma.ray_indices if not span(classes.class_of(r), gens))
         free = inside & ~hat
-        positions, sub = [], free
+        masks, sub = [], free
         while True:  # every submask of `free`, once
-            positions.append(fan.cone_index[hat | sub])
+            masks.append(hat | sub)
             if not sub:
                 break
             sub = (sub - 1) & free
-        positions.sort()
-        claimed += positions
+        claimed += masks
         records.append(
             OrbitRecord(
                 basic=BasicSubset(members, hat, in_x_hat=True),
                 dimension=fan.dim - hat.bit_count(),
-                t_orbit_cones=tuple(fan.all_cones[i] for i in positions),
+                t_orbit_cones=tuple(sorted((fan.all_cones[m] for m in masks), key=_sort_key)),
             )
         )
-    if sorted(claimed) != list(range(len(fan.all_cones))):
+    if len(claimed) != len(fan.all_cones) or fan.all_cones.keys() != set(claimed):
         raise InvariantViolation("the orbits' torus-orbit cones do not partition the fan")
     records.sort(key=lambda r: (-r.dimension, r.basic.rays))
     open_records = [r for r in records if not r.basic.hat_mask]

@@ -269,7 +269,7 @@ def orbit_catalog(fan: Fan) -> list[OrbitRecord]:
 
 
 def has_cone(fan: Fan, ray_indices) -> bool:
-    return ray_mask(ray_indices) in fan.cone_index
+    return ray_mask(ray_indices) in fan.all_cones
 
 
 def precedes(precedence, a: int, b: int) -> bool:
@@ -279,7 +279,7 @@ def precedes(precedence, a: int, b: int) -> bool:
 def cones_with_rayset(fan: Fan, ray_indices) -> list[Cone]:
     """All fan cones containing the given rays, sorted by size then lex."""
     wanted = set(ray_indices)
-    return [c for c in fan.all_cones if wanted <= set(c.ray_indices)]
+    return [c for c in fan.all_cones.values() if wanted <= set(c.ray_indices)]
 
 
 def make_point(fan: Fan, values) -> CoxPoint:

@@ -1,10 +1,14 @@
 import hashlib
 import json
 import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
-from unifan.cli import main
+import unifan
+from unifan.cli import main, make_parser
 from unifan.fan import validate_fan
 from unifan.orbits import enumerate_basic_subsets
 from unifan.radiance import BilateralStructure
@@ -194,6 +198,51 @@ class TestAnalyze:
         assert report["verdict"]["reason"] == "not_radiant"
         assert report["bilateral"] is None
         assert "orbits" not in report
+
+
+class TestHostileInput:
+    def test_one_cone_of_dimension_30_is_rejected_without_its_faces(self, tmp_path):
+        """Validation reads the maximal cones only: the 2^30 faces of the one
+        cone would not fit under the child's 1 GiB address-space limit."""
+        path = tmp_path / "one_cone_30.json"
+        rays = [[int(i == j) for j in range(30)] for i in range(30)]
+        path.write_text(json.dumps({"dim": 30, "rays": rays, "max_cones": [list(range(30))]}))
+        limit = 1 << 30
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "unifan", "analyze", str(path)],
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(unifan.__file__))},
+            preexec_fn=cap_memory,
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert json.loads(proc.stdout)["error"] == {
+            "kind": "NotComplete",
+            "message": "the fan does not cover the ambient space",
+        }
+
+
+class TestParser:
+    def test_built_once_with_a_fresh_namespace_per_call(self):
+        parser = make_parser()
+        assert make_parser() is parser
+        first = parser.parse_args(["analyze", "a.json", "--orbits", "--seed", "3"])
+        second = parser.parse_args(["analyze", "b.json"])
+        assert first is not second
+        assert (first.path, first.orbits, first.seed) == ("a.json", True, 3)
+        assert (second.path, second.orbits, second.seed) == ("b.json", False, 0)
+
+    def test_usage_errors_still_exit_2(self, capsys):
+        for argv in ([], ["analyze", "--format", "xml"], ["build", "pn:2"]):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
+        assert "usage: unifan" in capsys.readouterr().err
 
 
 class TestBuild:

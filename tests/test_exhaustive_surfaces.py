@@ -48,7 +48,7 @@ def test_box_surfaces():
         catalog = analysis.catalog
         assert analysis.verdict.orbit_count == len(catalog)
         cones = sorted(c for record in catalog for c in record.t_orbit_cones)
-        assert cones == sorted(fan.all_cones), fan.rays
+        assert cones == sorted(fan.all_cones.values()), fan.rays
         count = len(catalog)
         finite_orbits[count] = finite_orbits.get(count, 0) + 1
     assert (fans, radiant) == (4284, 1905)

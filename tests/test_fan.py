@@ -1,5 +1,6 @@
 import random
 import re
+from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -48,7 +49,7 @@ class TestValidateFan:
         assert fan.num_rays == 4
         assert len(fan.max_cones) == 4
         assert len(fan.all_cones) == 9
-        assert Cone(()) in fan.all_cones
+        assert Cone(()) in fan.all_cones.values()
 
     def test_non_primitive_ray(self):
         with pytest.raises(NonPrimitiveRay):
@@ -209,13 +210,13 @@ class TestFanInvariants:
     @pytest.mark.parametrize("spec", sorted(RADIANT_FIXTURES.values()))
     def test_pairwise_rayset_intersections_are_cones(self, spec):
         fan = family(spec)
-        for a in fan.all_cones:
-            for b in fan.all_cones:
+        for a in fan.all_cones.values():
+            for b in fan.all_cones.values():
                 meet = tuple(sorted(set(a.ray_indices) & set(b.ray_indices)))
                 assert has_cone(fan, meet)
 
     def test_all_cones_sorted_by_size_then_lex(self, f2):
-        keys = [(len(c.ray_indices), c.ray_indices) for c in f2.all_cones]
+        keys = [(len(c.ray_indices), c.ray_indices) for c in f2.all_cones.values()]
         assert keys == sorted(keys)
 
 
@@ -296,7 +297,7 @@ def certificate(dim, rays, cones):
     """`is_complete` on raw data, also data that `validate_fan` rejects: the
     certificate reads only `dim`, `rays` and `max_cones`."""
     maximal = tuple(sorted(Cone(tuple(sorted(c))) for c in cones))
-    return is_complete(Fan(dim, tuple(map(tuple, rays)), maximal, (), {}))
+    return is_complete(Fan(dim, tuple(map(tuple, rays)), maximal))
 
 
 def _data(fan):
@@ -455,7 +456,7 @@ class TestIsCompleteAgainstReference:
 
 
 class TestFaceIndex:
-    """`cone_index` maps each cone's ray mask to its position in `all_cones`."""
+    """`all_cones` maps each cone's ray mask to its `Cone`, in (size, lex) order."""
 
     def test_ray_mask(self):
         assert ray_mask(()) == 0 and ray_mask((0, 2, 5)) == 0b100101 == ray_mask({5, 0, 2})
@@ -463,8 +464,9 @@ class TestFaceIndex:
     def test_index_matches_all_cones(self):
         fans = [family(spec) for spec in sorted(RADIANT_FIXTURES.values())] + random_surfaces()
         for fan in fans:
-            expected = [(ray_mask(c.ray_indices), i) for i, c in enumerate(fan.all_cones)]
-            assert list(fan.cone_index.items()) == expected
+            cones = list(fan.all_cones.values())
+            assert list(fan.all_cones) == [ray_mask(c.ray_indices) for c in cones]
+            assert cones == sorted(cones, key=lambda c: (len(c), c.ray_indices))
 
     def test_has_cone_reads_the_index(self, f2):
         assert has_cone(f2, {3, 2}) and has_cone(f2, ()) and has_cone(f2, [0])
@@ -474,5 +476,117 @@ class TestFaceIndex:
         a = validate_fan(2, HIRZ2_RAYS, HIRZ2_CONES)
         b = validate_fan(2, HIRZ2_RAYS, list(reversed(HIRZ2_CONES)))
         assert a == b and hash(a) == hash(b)
-        assert a.cone_index is not b.cone_index
-        assert "cone_index" not in repr(a)
+        assert a.all_cones is not b.all_cones
+        assert "all_cones" not in repr(a)
+        assert a.all_cones == b.all_cones and a == b and hash(a) == hash(b)
+
+    def test_fan_has_exactly_three_fields(self):
+        assert [f.name for f in fields(Fan)] == ["dim", "rays", "max_cones"]
+
+
+def reference_faces(dim, rays, max_cones):
+    """The face list as validation used to build it before any check: every
+    proper face of every listed cone, the maximal list normalized against
+    them, then the sorted `Cone`s and their masks. Returns the maximal cones
+    and the (mask, cone) pairs in order."""
+    cones = [Cone(tuple(sorted(set(raw)))) for raw in max_cones]
+    cones = sorted(set(cones), key=fan_module._sort_key)
+    proper_faces = set()
+    for c in cones:
+        for size in range(len(c.ray_indices)):
+            proper_faces.update(combinations(c.ray_indices, size))
+    maximal = [c for c in cones if c.ray_indices not in proper_faces]
+    faces = proper_faces | {c.ray_indices for c in maximal} | {()}
+    all_cones = tuple(sorted((Cone(f) for f in faces), key=fan_module._sort_key))
+    return tuple(maximal), [(ray_mask(c.ray_indices), c) for c in all_cones]
+
+
+def noisy(cones, rng):
+    """The cone list with random faces of its cones and duplicates listed
+    too, each cone's indices shuffled and the list in random order."""
+    out = [list(c) for c in cones]
+    for _ in range(len(cones)):
+        cone = rng.choice(cones)
+        out.append(rng.sample(list(cone), rng.randint(0, len(cone))))
+        out.append(list(rng.choice(cones)))
+    for c in out:
+        rng.shuffle(c)
+    rng.shuffle(out)
+    return out
+
+
+class TestFaceIndexAgainstReference:
+    """`max_cones` and the on-demand `all_cones` against the face list that
+    validation built eagerly before."""
+
+    def _check(self, dim, rays, cones):
+        maximal, faces = reference_faces(dim, rays, cones)
+        fan = validate_fan(dim, rays, cones)
+        assert "all_cones" not in vars(fan)
+        assert fan.max_cones == maximal
+        assert list(fan.all_cones.items()) == faces
+
+    def _data_sets(self):
+        """Complete fans, and each with one maximal cone dropped; dP6^2 whole
+        only, as its truncations cost one LP per pair of its 35 cones."""
+        fans = [family(spec) for spec in sorted(RADIANT_FIXTURES.values())] + random_surfaces()
+        fans += [validate_fan(*product_data(f)) for f in ([P1] * 3, [P2, P1], [DP6])]
+        for fan in fans:
+            yield _data(fan)
+            yield from map(_data, _truncations(fan))
+        yield product_data([DP6] * 2)
+
+    def test_fixtures_surfaces_products_and_truncations(self):
+        for data in self._data_sets():
+            self._check(*data)
+
+    def test_redundant_faces_and_duplicates(self):
+        rng = random.Random(18)
+        for dim, rays, cones in self._data_sets():
+            self._check(dim, rays, noisy(cones, rng))
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            (2, HIRZ2_RAYS, HIRZ2_CONES + [[0], [2, 1], [2], [1, 0], [], [0, 3]]),
+            (2, HIRZ2_RAYS, HIRZ2_CONES[1:] + [[1], [3, 2], [2, 3]]),
+            (2, [(1, 0), (0, 1), (-1, 0), (0, -1)], [[0, 1], [2, 3], [3], []]),
+            (3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0)], [[1, 0], [2], [3], [0], [0, 1]]),
+            (1, [(1,)], [[0], [0], []]),
+            (1, [], [[]]),
+        ],
+        ids=[
+            "complete-with-faces",
+            "incomplete-with-faces",
+            "two-quadrants",
+            "mixed-dims",
+            "ray",
+            "empty-cone",
+        ],
+    )
+    def test_listed_faces(self, data):
+        self._check(*data)
+
+
+ONE_CONE_30 = (30, [tuple(int(i == j) for j in range(30)) for i in range(30)], [list(range(30))])
+
+
+class TestHostileInput:
+    """Validation reads the maximal cones only, so a fan with one cone of
+    dimension 30 is judged without its 2^30 faces."""
+
+    def test_one_cone_of_dimension_30_builds_no_face(self, monkeypatch):
+        real = fan_module.combinations
+
+        def bounded(items, r):
+            for n, item in enumerate(real(items, r)):
+                if n == 1000:
+                    raise AssertionError("validation enumerates faces")
+                yield item
+
+        monkeypatch.setattr(fan_module, "combinations", bounded)
+        fan = validate_fan(*ONE_CONE_30)
+        assert "all_cones" not in vars(fan)
+        assert not is_complete(fan)
+        with pytest.raises(NotComplete):
+            validate_fan(*ONE_CONE_30, require_complete=True)

@@ -213,3 +213,14 @@ def test_benchmark_traced_functions_exist():
     ]
     assert tracing.LAYERS
     assert not missing, f"traced functions missing: {missing}"
+
+
+def test_validation_builds_no_face():
+    """`validate_fan` and `is_complete` read the maximal cones only; the face
+    index `Fan.all_cones` is built on first read, and never by them."""
+    checked = set()
+    for node in MODULES["fan"].body:
+        if isinstance(node, ast.FunctionDef) and node.name in {"validate_fan", "is_complete"}:
+            assert "all_cones" not in ast.unparse(node), f"{node.name} reads all_cones"
+            checked.add(node.name)
+    assert checked == {"validate_fan", "is_complete"}

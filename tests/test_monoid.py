@@ -86,7 +86,7 @@ def complement_monoids(fan):
     table = table_of(fan)
     return [
         gamma_of_rayset(table, [r for r in range(fan.num_rays) if r not in cone])
-        for cone in fan.all_cones
+        for cone in fan.all_cones.values()
     ]
 
 

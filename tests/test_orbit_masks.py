@@ -21,7 +21,7 @@ import pytest
 from unifan import validate_fan
 from unifan.classgroup import ClassTable, radiant_classes
 from unifan.demazure import PrecedenceRelation, compute_precedence
-from unifan.fan import Fan, ray_mask
+from unifan.fan import Cone, Fan, ray_mask
 from unifan.linalg import IntVec, InvariantViolation, q_independent
 from unifan.monoid import gamma_of_rayset, in_span, irreducibles, is_free
 from unifan.orbits import (
@@ -140,7 +140,7 @@ def reference_non_free_witness(fan: Fan, classes: ClassTable):
     so each distinct set is tested once.
     """
     free: set[tuple[IntVec, ...]] = set()
-    for cone in fan.all_cones:
+    for cone in fan.all_cones.values():
         complement = [r for r in range(fan.num_rays) if r not in cone.ray_indices]
         monoid = gamma_of_rayset(classes, complement)
         if monoid.generators in free:
@@ -166,7 +166,7 @@ def reference_build_catalog(fan: Fan, basics, negative_rays) -> list[OrbitRecord
         hat_set = set(b.hat)
         cones = tuple(
             c
-            for c in fan.all_cones
+            for c in fan.all_cones.values()
             if hat_set <= set(c.ray_indices) and not member_set & set(c.ray_indices)
         )
         records.append(
@@ -181,21 +181,21 @@ def reference_build_catalog(fan: Fan, basics, negative_rays) -> list[OrbitRecord
     return records
 
 
-def reference_cones_between(cone_index: dict[int, int], num_rays: int, hat: int, members: int):
-    """Positions in `fan.all_cones` of the cones containing the hat set and
-    meeting no member, ascending. They are found by growing the hat one ray
+def reference_cones_between(all_cones: dict[int, Cone], num_rays: int, hat: int, members: int):
+    """The cones of `fan.all_cones` containing the hat set and meeting no
+    member, by size, then lex. They are found by growing the hat one ray
     at a time, in increasing order, among the face-closed cone masks."""
     free_rays = _bits(((1 << num_rays) - 1) & ~(hat | members))
     found = []
     stack = [(hat, 0)]
     while stack:
         cone, start = stack.pop()
-        found.append(cone_index[cone])
+        found.append(all_cones[cone])
         for i in range(start, len(free_rays)):
             bigger = cone | 1 << free_rays[i]
-            if bigger in cone_index:
+            if bigger in all_cones:
                 stack.append((bigger, i + 1))
-    found.sort()
+    found.sort(key=lambda c: (len(c), c.ray_indices))
     return found
 
 
@@ -211,8 +211,7 @@ def reference_mask_catalog(fan: Fan, basics, negative_rays) -> list[OrbitRecord]
             basic=b,
             dimension=fan.dim - b.hat_mask.bit_count(),
             t_orbit_cones=tuple(
-                fan.all_cones[i]
-                for i in reference_cones_between(fan.cone_index, fan.num_rays, b.hat_mask, b.rays_mask)
+                reference_cones_between(fan.all_cones, fan.num_rays, b.hat_mask, b.rays_mask)
             ),
         )
         for b in basics
@@ -250,7 +249,7 @@ def assert_affine_paving(fan: Fan, records) -> None:
         assert record.dimension == fan.dim - hat.bit_count()
         tops.append(top)
     assert sorted(tops) == sorted(ray_mask(c.ray_indices) for c in fan.max_cones)
-    faces = Counter(len(c) for c in fan.all_cones)
+    faces = Counter(len(c) for c in fan.all_cones.values())
     h = [0] * (fan.dim + 1)
     for size, count in faces.items():
         m = fan.dim - size

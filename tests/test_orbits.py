@@ -406,7 +406,7 @@ class TestInvariants:
 def reference_non_free_witness(fan, classes):
     """The scan that tests every cone's complement monoid, free or not, with
     the pairwise irreducibles."""
-    for cone in fan.all_cones:
+    for cone in fan.all_cones.values():
         complement = [r for r in range(fan.num_rays) if r not in cone.ray_indices]
         monoid = gamma_of_rayset(classes, complement)
         irr = pairwise_irreducibles(monoid)
@@ -418,7 +418,7 @@ def reference_non_free_witness(fan, classes):
 def distinct_complement_sets(fan, classes):
     return {
         gamma_of_rayset(classes, [r for r in range(fan.num_rays) if r not in cone]).generators
-        for cone in fan.all_cones
+        for cone in fan.all_cones.values()
     }
 
 
