@@ -24,7 +24,6 @@ class ClassTable:
     """
 
     k: int
-    positive: tuple[int, ...]
     negative: tuple[int, ...]
     classes: tuple[IntVec, ...]
 
@@ -57,7 +56,7 @@ def radiant_classes(fan: Fan, bilateral) -> ClassTable:
     classes: list[IntVec | None] = [None] * fan.num_rays
     for j, tau in enumerate(bilateral.negative):
         classes[tau] = tuple(1 if t == j else 0 for t in range(k))
-    negative_vectors = [fan.ray_vector(tau) for tau in bilateral.negative]
+    negative_vectors = [fan.rays[tau] for tau in bilateral.negative]
     for i, eps in enumerate(bilateral.positive):
         row = dual[i]
         cls = tuple(-sum(a * b for a, b in zip(row, nj)) for nj in negative_vectors)
@@ -79,7 +78,6 @@ def radiant_classes(fan: Fan, bilateral) -> ClassTable:
 
     return ClassTable(
         k=k,
-        positive=tuple(bilateral.positive),
         negative=tuple(bilateral.negative),
         classes=tuple(classes),
     )

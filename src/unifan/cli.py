@@ -324,10 +324,8 @@ def build_report(analysis: FanAnalysis, include_orbits, check, seed):
             "dual_basis": analysis.bilateral.dual_basis,
         }
         report["classes"] = [list(c) for c in analysis.classes.classes]
-        report["v"] = list(analysis.choice.v)
-        report["precedence"] = sorted(
-            [list(p) for p in analysis.precedence.pairs]
-        )
+        report["v"] = list(analysis.v)
+        report["precedence"] = sorted([list(p) for p in analysis.precedence])
     if include_orbits and analysis.catalog is not None:
         report["orbits"] = {
             "dimension_semantics": "derived",

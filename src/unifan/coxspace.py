@@ -36,7 +36,7 @@ def apply_root(point: CoxPoint, root: DemazureRoot, s) -> CoxPoint:
     for other in range(fan.num_rays):
         if other == root.distinguished_ray:
             continue
-        exponent = sum(a * b for a, b in zip(root.e, fan.ray_vector(other)))
+        exponent = sum(a * b for a, b in zip(root.e, fan.rays[other]))
         if exponent < 0:
             raise ValueError("root pairs negatively with a non-distinguished ray")
         if exponent:

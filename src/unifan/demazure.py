@@ -33,22 +33,6 @@ class DemazureRoot:
         return "semisimple" if self.semisimple else "unipotent"
 
 
-@dataclass(frozen=True)
-class UnipotentChoice:
-    """Lattice vector with strictly decreasing negative coordinates in the
-    positive-ray basis, pairing nonzero with every semisimple root."""
-
-    v: IntVec
-
-
-@dataclass(frozen=True)
-class PrecedenceRelation:
-    """Strict partial order on rays: equal-class pairs ordered negative
-    before positive, positives among themselves by basis position."""
-
-    pairs: frozenset[tuple[int, int]]
-
-
 def enumerate_roots(
     fan: Fan,
     bilateral: BilateralStructure | None = None,
@@ -82,9 +66,9 @@ def _slice_system(fan: Fan, rho: int) -> LinearSystem:
     """<e, rho> = -1 and <e, ray> >= 0 for every other ray."""
     return LinearSystem.make(
         fan.dim,
-        equalities=[(fan.ray_vector(rho), -1)],
+        equalities=[(fan.rays[rho], -1)],
         inequalities=[
-            (fan.ray_vector(other), 0) for other in range(fan.num_rays) if other != rho
+            (fan.rays[other], 0) for other in range(fan.num_rays) if other != rho
         ],
     )
 
@@ -178,31 +162,32 @@ def semisimple_roots(fan: Fan, bilateral: BilateralStructure, classes: ClassTabl
     return found
 
 
-def choose_v(fan: Fan, bilateral: BilateralStructure, semisimple) -> UnipotentChoice:
-    """Deterministic choice of the vector defining the unipotent subgroup,
-    given the semisimple root vectors.
+def choose_v(fan: Fan, bilateral: BilateralStructure, semisimple) -> IntVec:
+    """Deterministic choice of the lattice vector `v` defining the unipotent
+    subgroup, given the semisimple root vectors: its coordinates in the
+    positive-ray basis are negative and strictly decreasing, and it pairs
+    nonzero with every semisimple root.
 
     Tries coordinates (-1, -c, -c^2, ...) in the positive-ray basis for
     c = 2, 3, ...; the chain of strictly decreasing negatives is automatic
     and each rejected c kills a nonzero polynomial, so the search ends.
     """
     n = fan.dim
-    basis_vectors = [fan.ray_vector(i) for i in bilateral.positive]
+    basis_vectors = [fan.rays[i] for i in bilateral.positive]
     for c in count(2):
         coords = tuple(-(c**i) for i in range(n))
         v = tuple(
             sum(coords[i] * basis_vectors[i][t] for i in range(n)) for t in range(n)
         )
         if all(_dot(e, v) != 0 for e in semisimple):
-            return UnipotentChoice(v=v)
+            return v
     raise InvariantViolation("unreachable")
 
 
-def mark_membership(roots, choice: UnipotentChoice) -> list[DemazureRoot]:
+def mark_membership(roots, v: IntVec) -> list[DemazureRoot]:
     """Set the in_u flag of each root in place and return the same list:
     unipotent roots always, semisimple ones when they pair positively with
-    the chosen vector."""
-    v = choice.v
+    the chosen vector `v`."""
     for r in roots:
         r.in_u = not r.semisimple or _dot(r.e, v) > 0
     return roots
@@ -210,9 +195,10 @@ def mark_membership(roots, choice: UnipotentChoice) -> list[DemazureRoot]:
 
 def compute_precedence(
     bilateral: BilateralStructure, classes: ClassTable
-) -> PrecedenceRelation:
-    """Pairs (a, b) with a preceding b: equal classes, a negative and b
-    positive, or both positive with a earlier in the basis order."""
+) -> frozenset[tuple[int, int]]:
+    """The strict precedence order on rays, as the pairs (a, b) with a
+    preceding b: equal classes, a negative and b positive, or both positive
+    with a earlier in the basis order."""
     position = {ray: pos for pos, ray in enumerate(bilateral.positive)}
     negatives = set(bilateral.negative)
     by_class: dict[IntVec, list[int]] = {}
@@ -228,4 +214,4 @@ def compute_precedence(
         for i in range(len(pos)):
             for j in range(i + 1, len(pos)):
                 pairs.add((pos[i], pos[j]))
-    return PrecedenceRelation(pairs=frozenset(pairs))
+    return frozenset(pairs)

@@ -152,7 +152,7 @@ def cross_check(fan: Fan, verdict: Verdict) -> CheckReport:
         else:
             patterns = tuple(
                 sorted(
-                    tuple(-c for c in bilateral.coordinates(fan.ray_vector(tau)))
+                    tuple(-c for c in bilateral.coordinates(fan.rays[tau]))
                     for tau in bilateral.negative
                 )
             )

@@ -90,9 +90,6 @@ class Fan:
     def num_rays(self) -> int:
         return len(self.rays)
 
-    def ray_vector(self, i: int) -> IntVec:
-        return self.rays[i]
-
     def ray_vectors(self) -> list[IntVec]:
         return list(self.rays)
 

@@ -27,7 +27,6 @@ from functools import cache
 from typing import Iterator
 
 from .classgroup import ClassTable
-from .demazure import PrecedenceRelation
 from .fan import Cone, Fan, _sort_key, ray_mask
 from .linalg import IntVec, InvariantViolation
 from .monoid import gamma_of_rayset, in_span, irreducibles, is_free
@@ -103,7 +102,7 @@ def _antichain(vector: IntVec, gens) -> tuple[int, ...]:
 _ROOT = (0, (), 0, 0, 0, 0, 0)
 
 
-def _basic_subset_rule(classes: ClassTable, precedence: PrecedenceRelation):
+def _basic_subset_rule(classes: ClassTable, precedence: frozenset[tuple[int, int]]):
     """The per-node rule of the basic-subset search, as a function of a node.
 
     A node is (mask, non-unit members, U, rays of the unit classes in U, q,
@@ -139,7 +138,7 @@ def _basic_subset_rule(classes: ClassTable, precedence: PrecedenceRelation):
             q_bit[r], carriers[class_id[r]] = 1 << non_units.index(c), same
     every_unit_ray = ray_mask(r for r in range(d) if unit_bit[r])
     predecessors = [0] * d
-    for a, b in precedence.pairs:
+    for a, b in precedence:
         predecessors[b] |= 1 << a
 
     antichains: dict[int, dict[int, tuple[int, ...]]] = {}  # q -> class id -> A
@@ -191,7 +190,7 @@ def _basic_subset_rule(classes: ClassTable, precedence: PrecedenceRelation):
 
 
 def enumerate_basic_subsets(
-    classes: ClassTable, precedence: PrecedenceRelation
+    classes: ClassTable, precedence: frozenset[tuple[int, int]]
 ) -> list[BasicSubset]:
     """All basic subsets, found by depth-first search in lex order."""
     expand = _basic_subset_rule(classes, precedence)
@@ -205,7 +204,7 @@ def enumerate_basic_subsets(
 
 
 def random_basic_subsets(
-    classes: ClassTable, precedence: PrecedenceRelation, rng
+    classes: ClassTable, precedence: frozenset[tuple[int, int]], rng
 ) -> Iterator[BasicSubset]:
     """Endless seeded draws of basic subsets, one descent of the search each.
 
@@ -274,7 +273,7 @@ def non_free_witness(fan: Fan, classes: ClassTable):
 
 
 def build_catalog(
-    fan: Fan, classes: ClassTable, precedence: PrecedenceRelation
+    fan: Fan, classes: ClassTable, precedence: frozenset[tuple[int, int]]
 ) -> list[OrbitRecord]:
     """The orbit catalog of a finite verdict, one record per maximal cone.
 
@@ -294,7 +293,7 @@ def build_catalog(
         inside = ray_mask(sigma.ray_indices)
         members = full & ~inside
         gens = tuple(sorted({classes.class_of(r) for r in _bits(members)}))
-        hat = ray_mask(a for a, b in precedence.pairs if members >> b & 1)
+        hat = ray_mask(a for a, b in precedence if members >> b & 1)
         hat |= ray_mask(r for r in sigma.ray_indices if not span(classes.class_of(r), gens))
         free = inside & ~hat
         masks, sub = [], free

@@ -9,8 +9,6 @@ from functools import cached_property
 from .classgroup import ClassGroupInfo, ClassTable, class_group, radiant_classes
 from .demazure import (
     DemazureRoot,
-    PrecedenceRelation,
-    UnipotentChoice,
     choose_v,
     compute_precedence,
     enumerate_roots,
@@ -18,6 +16,7 @@ from .demazure import (
     semisimple_roots,
 )
 from .fan import Fan
+from .linalg import IntVec
 from .orbits import OrbitRecord, Verdict, build_catalog, non_free_witness
 from .radiance import BilateralStructure, find_bilateral
 
@@ -28,8 +27,8 @@ class FanAnalysis:
     class_info: ClassGroupInfo
     bilateral: BilateralStructure | None
     classes: ClassTable | None
-    choice: UnipotentChoice | None
-    precedence: PrecedenceRelation | None
+    v: IntVec | None
+    precedence: frozenset[tuple[int, int]] | None
     verdict: Verdict
     catalog: list[OrbitRecord] | None
 
@@ -40,8 +39,8 @@ class FanAnalysis:
         carries its `in_u` flag for the chosen `v`; on any other fan they
         come from the projection chain and `in_u` stays None."""
         roots = enumerate_roots(self.fan, self.bilateral, self.classes)
-        if self.choice is not None:
-            mark_membership(roots, self.choice)
+        if self.v is not None:
+            mark_membership(roots, self.v)
         return roots
 
 
@@ -57,12 +56,12 @@ def analyze_fan(fan: Fan, bilateral: BilateralStructure | None = None) -> FanAna
     class_info = class_group(fan)
     if bilateral is None:
         bilateral = find_bilateral(fan)
-    classes = choice = precedence = catalog = None
+    classes = v = precedence = catalog = None
     if bilateral is None:
         verdict = Verdict(finite=False, reason="not_radiant")
     else:
         classes = radiant_classes(fan, bilateral)
-        choice = choose_v(fan, bilateral, semisimple_roots(fan, bilateral, classes))
+        v = choose_v(fan, bilateral, semisimple_roots(fan, bilateral, classes))
         precedence = compute_precedence(bilateral, classes)
         witness = non_free_witness(fan, classes)
         if witness is not None:
@@ -81,7 +80,7 @@ def analyze_fan(fan: Fan, bilateral: BilateralStructure | None = None) -> FanAna
         class_info=class_info,
         bilateral=bilateral,
         classes=classes,
-        choice=choice,
+        v=v,
         precedence=precedence,
         verdict=verdict,
         catalog=catalog,

@@ -46,7 +46,7 @@ def iter_bilateral_structures(fan: Fan) -> Iterator[BilateralStructure]:
         if len(combo) != n:
             continue
         try:
-            dual = invert_unimodular(tuple(zip(*(fan.ray_vector(i) for i in combo))))
+            dual = invert_unimodular(tuple(zip(*(fan.rays[i] for i in combo))))
         except NotUnimodular:
             continue
         candidate = BilateralStructure(
@@ -55,7 +55,7 @@ def iter_bilateral_structures(fan: Fan) -> Iterator[BilateralStructure]:
             dual_basis=dual,
         )
         if all(
-            all(c <= 0 for c in candidate.coordinates(fan.ray_vector(i)))
+            all(c <= 0 for c in candidate.coordinates(fan.rays[i]))
             for i in candidate.negative
         ):
             yield candidate

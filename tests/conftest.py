@@ -273,7 +273,7 @@ def has_cone(fan: Fan, ray_indices) -> bool:
 
 
 def precedes(precedence, a: int, b: int) -> bool:
-    return (a, b) in precedence.pairs
+    return (a, b) in precedence
 
 
 def cones_with_rayset(fan: Fan, ray_indices) -> list[Cone]:
@@ -334,10 +334,10 @@ def minimal_basic(classes, precedence, monoid):
 
     For each irreducible class, pick the earliest carrier in the precedence
     order: the unique negative ray when one carries it, otherwise the
-    lowest-position positive ray.
+    lowest-position positive ray. The positive rays are the non-negative
+    ones, and the basis lists them in ascending order.
     """
     negatives = set(classes.negative)
-    position = {ray: pos for pos, ray in enumerate(classes.positive)}
     chosen = []
     for cls in irreducibles(monoid):
         carriers = [
@@ -347,7 +347,7 @@ def minimal_basic(classes, precedence, monoid):
         if negs:
             chosen.append(negs[0])
         else:
-            chosen.append(min(carriers, key=position.get))
+            chosen.append(min(carriers))
     return tuple(sorted(chosen))
 
 

@@ -236,7 +236,7 @@ def test_criterion_7b_gale_duality():
         _, classes, precedence = _prepared(fan)
         for b in enumerate_basic_subsets(classes, precedence):
             complement = [
-                fan.ray_vector(r) for r in range(fan.num_rays) if r not in b.rays
+                fan.rays[r] for r in range(fan.num_rays) if r not in b.rays
             ]
             assert classes_independent(classes, b) == (rational_rank(complement) == fan.dim)
             checked += 1
@@ -305,9 +305,9 @@ def test_criterion_7c_action_and_root_oracles():
                     for r in analysis.roots
                     if r.distinguished_ray == b
                     and r.in_u
-                    and pairing(r.e, fan.ray_vector(a)) == 1
+                    and pairing(r.e, fan.rays[a]) == 1
                     and all(
-                        pairing(r.e, fan.ray_vector(c)) == 0
+                        pairing(r.e, fan.rays[c]) == 0
                         for c in range(fan.num_rays)
                         if c not in (a, b)
                     )
@@ -325,7 +325,7 @@ def test_criterion_7c_action_and_root_oracles():
                     root is not None
                     and root.in_u
                     and all(
-                        pairing(e, fan.ray_vector(tau)) == 0
+                        pairing(e, fan.rays[tau]) == 0
                         for tau in bilateral.negative
                     )
                 )
@@ -337,9 +337,9 @@ def test_criterion_7c_action_and_root_oracles():
                 holds = (
                     root is not None
                     and root.in_u
-                    and pairing(e, fan.ray_vector(tau)) == 1
+                    and pairing(e, fan.rays[tau]) == 1
                     and all(
-                        pairing(e, fan.ray_vector(other)) == 0
+                        pairing(e, fan.rays[other]) == 0
                         for other in bilateral.negative
                         if other != tau
                     )
@@ -362,7 +362,7 @@ def test_criterion_7d_root_count_fixtures():
         for rho in range(fan.num_rays):
             for e in product(range(-box, box + 1), repeat=fan.dim):
                 pairings = [
-                    sum(a * b for a, b in zip(e, fan.ray_vector(r)))
+                    sum(a * b for a, b in zip(e, fan.rays[r]))
                     for r in range(fan.num_rays)
                 ]
                 if pairings[rho] == -1 and all(

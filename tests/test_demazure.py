@@ -1,4 +1,4 @@
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import count, product
 
 import pytest
@@ -7,7 +7,6 @@ import unifan.demazure
 import unifan.pipeline
 from unifan.classgroup import ClassTable, radiant_classes
 from unifan.demazure import (
-    UnipotentChoice,
     choose_v,
     compute_precedence,
     enumerate_roots,
@@ -15,7 +14,7 @@ from unifan.demazure import (
     semisimple_roots,
 )
 from unifan.linalg import IntVec, InvariantViolation, LinearSystem, lattice_points
-from unifan.pipeline import analyze_fan
+from unifan.pipeline import FanAnalysis, analyze_fan
 from unifan.radiance import find_bilateral
 
 from conftest import (
@@ -38,7 +37,7 @@ def brute_force_roots(fan, box=8):
     for rho in range(fan.num_rays):
         for e in product(range(-box, box + 1), repeat=fan.dim):
             pairings = [
-                sum(a * b for a, b in zip(e, fan.ray_vector(r)))
+                sum(a * b for a, b in zip(e, fan.rays[r]))
                 for r in range(fan.num_rays)
             ]
             if pairings[rho] == -1 and all(
@@ -59,8 +58,8 @@ def semisimple_of(fan, bilateral):
 def analyzed_roots(fan):
     bilateral = find_bilateral(fan)
     roots = enumerate_roots(fan)
-    choice = choose_v(fan, bilateral, semisimple_of(fan, bilateral))
-    return mark_membership(roots, choice), choice, bilateral
+    v = choose_v(fan, bilateral, semisimple_of(fan, bilateral))
+    return mark_membership(roots, v), v, bilateral
 
 
 class TestEnumerateRoots:
@@ -125,9 +124,9 @@ def reference_enumerate_roots(fan):
     for rho in range(fan.num_rays):
         system = LinearSystem.make(
             n,
-            equalities=[(fan.ray_vector(rho), -1)],
+            equalities=[(fan.rays[rho], -1)],
             inequalities=[
-                (fan.ray_vector(other), 0)
+                (fan.rays[other], 0)
                 for other in range(fan.num_rays)
                 if other != rho
             ],
@@ -141,10 +140,10 @@ def reference_enumerate_roots(fan):
     ]
 
 
-def reference_mark_membership(roots, choice):
+def reference_mark_membership(roots, v):
     out = []
     for r in roots:
-        in_u = True if not r.semisimple else pairing(r.e, choice.v) > 0
+        in_u = True if not r.semisimple else pairing(r.e, v) > 0
         out.append(replace(r, in_u=in_u))
     return out
 
@@ -174,10 +173,10 @@ class TestRootRecordsAgainstReference:
         if bilateral is None:
             return False
         classes = radiant_classes(fan, bilateral)
-        choice = choose_v(fan, bilateral, semisimple_roots(fan, bilateral, classes))
-        expected = root_fields(reference_mark_membership(expected, choice))
+        v = choose_v(fan, bilateral, semisimple_roots(fan, bilateral, classes))
+        expected = root_fields(reference_mark_membership(expected, v))
         for roots in (enumerate_roots(fan), enumerate_roots(fan, bilateral, classes)):
-            assert mark_membership(roots, choice) is roots
+            assert mark_membership(roots, v) is roots
             assert root_fields(roots) == expected
         return True
 
@@ -204,7 +203,7 @@ def reference_choose_v(fan, bilateral, roots):
     """The record-based choice: `v` avoids the hyperplane of every root
     record flagged semisimple."""
     n = fan.dim
-    basis_vectors = [fan.ray_vector(i) for i in bilateral.positive]
+    basis_vectors = [fan.rays[i] for i in bilateral.positive]
     semisimple = [r for r in roots if r.semisimple]
     for c in count(2):
         coords = tuple(-(c**i) for i in range(n))
@@ -212,7 +211,7 @@ def reference_choose_v(fan, bilateral, roots):
             sum(coords[i] * basis_vectors[i][t] for i in range(n)) for t in range(n)
         )
         if all(pairing(r.e, v) != 0 for r in semisimple):
-            return UnipotentChoice(v=v)
+            return v
 
 
 class TestSemisimpleRootsAgainstEnumeration:
@@ -310,9 +309,9 @@ class TestRootsOnDemand:
             analysis = analyze_fan(fan)
         expected = reference_enumerate_roots(fan)
         if analysis.bilateral is not None:
-            choice = reference_choose_v(fan, analysis.bilateral, expected)
-            assert analysis.choice == choice
-            expected = reference_mark_membership(expected, choice)
+            v = reference_choose_v(fan, analysis.bilateral, expected)
+            assert analysis.v == v
+            expected = reference_mark_membership(expected, v)
         else:
             assert all(r.in_u is None for r in analysis.roots)
         assert root_fields(analysis.roots) == root_fields(expected)
@@ -344,7 +343,7 @@ class TestRootsOnDemand:
             roots = analysis.roots
         expected = reference_enumerate_roots(fan)
         if radiant:
-            expected = reference_mark_membership(expected, analysis.choice)
+            expected = reference_mark_membership(expected, analysis.v)
         else:
             assert len(calls) == fan.num_rays
         assert root_fields(roots) == root_fields(expected)
@@ -352,54 +351,79 @@ class TestRootsOnDemand:
 
 class TestChooseV:
     def test_hirzebruch_two_fan(self, f2):
-        _, choice, bilateral = analyzed_roots(f2)
-        assert choice.v == (-1, -2)
-        assert bilateral.coordinates(choice.v) == (-1, -2)
+        _, v, bilateral = analyzed_roots(f2)
+        assert v == (-1, -2)
+        assert bilateral.coordinates(v) == (-1, -2)
 
     def test_projective_plane(self, p2):
-        _, choice, _ = analyzed_roots(p2)
-        assert choice.v == (-1, -2)
+        _, v, _ = analyzed_roots(p2)
+        assert v == (-1, -2)
 
     def test_p1xp1(self, p1xp1):
-        _, choice, _ = analyzed_roots(p1xp1)
-        assert choice.v == (-1, -2)
+        _, v, _ = analyzed_roots(p1xp1)
+        assert v == (-1, -2)
 
     @pytest.mark.parametrize("spec", sorted(RADIANT_FIXTURES.values()))
     def test_choice_invariants(self, spec):
         fan = family(spec)
-        roots, choice, bilateral = analyzed_roots(fan)
+        roots, v, bilateral = analyzed_roots(fan)
         duals = bilateral.dual_basis
-        chain = [pairing(d, choice.v) for d in duals]
+        chain = [pairing(d, v) for d in duals]
         assert chain[0] < 0
         assert all(a > b for a, b in zip(chain, chain[1:]))
         for r in roots:
             if r.semisimple:
-                assert pairing(r.e, choice.v) != 0
-                assert r.in_u == (pairing(r.e, choice.v) > 0)
+                assert pairing(r.e, v) != 0
+                assert r.in_u == (pairing(r.e, v) > 0)
             else:
                 assert r.in_u
+
+
+class TestAnalysisValues:
+    def test_fan_analysis_has_exactly_eight_fields(self):
+        assert [f.name for f in fields(FanAnalysis)] == [
+            "fan",
+            "class_info",
+            "bilateral",
+            "classes",
+            "v",
+            "precedence",
+            "verdict",
+            "catalog",
+        ]
+
+    def test_v_and_precedence_are_plain_values(self, f2):
+        analysis = analyze_fan(f2)
+        assert type(analysis.v) is tuple and analysis.v == (-1, -2)
+        assert type(analysis.precedence) is frozenset
+        assert analysis.precedence == frozenset({(2, 0)})
+
+    def test_not_radiant_leaves_both_none(self):
+        analysis = analyze_fan(del_pezzo6())
+        assert analysis.bilateral is None
+        assert analysis.v is None and analysis.precedence is None
 
 
 class TestPrecedence:
     def test_hirzebruch_two_fan(self, f2):
         bilateral = find_bilateral(f2)
         prec = compute_precedence(bilateral, radiant_classes(f2, bilateral))
-        assert prec.pairs == frozenset({(2, 0)})
+        assert prec == frozenset({(2, 0)})
 
     def test_weighted_112(self, p112):
         bilateral = find_bilateral(p112)
         prec = compute_precedence(bilateral, radiant_classes(p112, bilateral))
-        assert prec.pairs == frozenset({(2, 0)})
+        assert prec == frozenset({(2, 0)})
 
     def test_p1xp1(self, p1xp1):
         bilateral = find_bilateral(p1xp1)
         prec = compute_precedence(bilateral, radiant_classes(p1xp1, bilateral))
-        assert prec.pairs == frozenset({(2, 0), (3, 1)})
+        assert prec == frozenset({(2, 0), (3, 1)})
 
     def test_projective_plane_chain(self, p2):
         bilateral = find_bilateral(p2)
         prec = compute_precedence(bilateral, radiant_classes(p2, bilateral))
-        assert prec.pairs == frozenset({(2, 0), (2, 1), (0, 1)})
+        assert prec == frozenset({(2, 0), (2, 1), (0, 1)})
 
     @pytest.mark.parametrize("spec", sorted(RADIANT_FIXTURES.values()))
     def test_strict_partial_order(self, spec):
@@ -407,14 +431,14 @@ class TestPrecedence:
         bilateral = find_bilateral(fan)
         classes = radiant_classes(fan, bilateral)
         prec = compute_precedence(bilateral, classes)
-        for a, b in prec.pairs:
+        for a, b in prec:
             assert a != b
             assert classes.class_of(a) == classes.class_of(b)
-            assert (b, a) not in prec.pairs
-        for a, b in prec.pairs:
-            for c, d in prec.pairs:
+            assert (b, a) not in prec
+        for a, b in prec:
+            for c, d in prec:
                 if b == c:
-                    assert (a, d) in prec.pairs
+                    assert (a, d) in prec
 
 
 class TestRootCharacterizations:
@@ -434,9 +458,9 @@ class TestRootCharacterizations:
                     for r in roots
                     if r.distinguished_ray == b
                     and r.in_u
-                    and pairing(r.e, fan.ray_vector(a)) == 1
+                    and pairing(r.e, fan.rays[a]) == 1
                     and all(
-                        pairing(r.e, fan.ray_vector(c)) == 0
+                        pairing(r.e, fan.rays[c]) == 0
                         for c in range(fan.num_rays)
                         if c not in (a, b)
                     )
@@ -463,7 +487,7 @@ class TestRootCharacterizations:
                     root is not None
                     and root.in_u
                     and all(
-                        pairing(e, fan.ray_vector(tau)) == 0
+                        pairing(e, fan.rays[tau]) == 0
                         for tau in bilateral.negative
                     )
                 )
@@ -483,9 +507,9 @@ class TestRootCharacterizations:
                 holds = (
                     root is not None
                     and root.in_u
-                    and pairing(e, fan.ray_vector(tau)) == 1
+                    and pairing(e, fan.rays[tau]) == 1
                     and all(
-                        pairing(e, fan.ray_vector(other)) == 0
+                        pairing(e, fan.rays[other]) == 0
                         for other in bilateral.negative
                         if other != tau
                     )

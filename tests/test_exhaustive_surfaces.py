@@ -1,18 +1,18 @@
-"""Every complete fan on the primitive vectors of the box [-2, 2]^2 with at
-most five rays: the surface classification agrees with the verdict, and a
-finite verdict's catalog is a partition of the fan."""
+"""Every complete fan on the primitive vectors of a box [-B, B]^2 with at
+most k rays: the surface classification agrees with the verdict, and a
+finite verdict's catalog is a partition of the fan. B = 2, k <= 5 runs by
+default; the larger boxes are marked slow (`python -m pytest -m slow`)."""
 
 from itertools import combinations
 from math import gcd
+
+import pytest
 
 from unifan.fan import validate_fan
 from unifan.families import cross_check
 from unifan.pipeline import analyze_fan
 
 from conftest import _ccw_sorted
-
-BOX = 2
-MAX_RAYS = 5
 
 
 def box_surfaces(box: int, max_rays: int):
@@ -34,10 +34,22 @@ def box_surfaces(box: int, max_rays: int):
                 yield validate_fan(2, list(rays), cones, require_complete=True)
 
 
-def test_box_surfaces():
+@pytest.mark.parametrize(
+    "box, max_rays, expected_fans, expected_radiant, expected_finite",
+    [
+        pytest.param(2, 5, 4284, 1905, {3: 48, 4: 85}, id="box2-rays5"),
+        pytest.param(
+            2, 6, 11396, 3325, {3: 48, 4: 85}, id="box2-rays6", marks=pytest.mark.slow
+        ),
+        pytest.param(
+            3, 5, 162296, 34705, {3: 152, 4: 237}, id="box3-rays5", marks=pytest.mark.slow
+        ),
+    ],
+)
+def test_box_surfaces(box, max_rays, expected_fans, expected_radiant, expected_finite):
     fans = radiant = 0
     finite_orbits = {}
-    for fan in box_surfaces(BOX, MAX_RAYS):
+    for fan in box_surfaces(box, max_rays):
         analysis = analyze_fan(fan)
         fans += 1
         radiant += analysis.bilateral is not None
@@ -51,5 +63,5 @@ def test_box_surfaces():
         assert cones == sorted(fan.all_cones.values()), fan.rays
         count = len(catalog)
         finite_orbits[count] = finite_orbits.get(count, 0) + 1
-    assert (fans, radiant) == (4284, 1905)
-    assert finite_orbits == {3: 48, 4: 85}
+    assert (fans, radiant) == (expected_fans, expected_radiant)
+    assert finite_orbits == expected_finite

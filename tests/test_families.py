@@ -235,7 +235,7 @@ def reference_cross_check(fan, verdict) -> CheckReport:
         else:
             patterns = tuple(
                 sorted(
-                    tuple(-c for c in bilateral.coordinates(fan.ray_vector(tau)))
+                    tuple(-c for c in bilateral.coordinates(fan.rays[tau]))
                     for tau in bilateral.negative
                 )
             )

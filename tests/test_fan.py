@@ -149,7 +149,7 @@ class TestIsComplete:
                 if all(x == 0 for x in vec):
                     continue
                 if not any(
-                    _in_simplicial_cone([fan.ray_vector(i) for i in c], vec)
+                    _in_simplicial_cone([fan.rays[i] for i in c], vec)
                     for c in fan.max_cones
                 ):
                     covered = False

@@ -224,3 +224,45 @@ def test_validation_builds_no_face():
             assert "all_cones" not in ast.unparse(node), f"{node.name} reads all_cones"
             checked.add(node.name)
     assert checked == {"validate_fan", "is_complete"}
+
+
+# Dataclasses in `src` with one field, with the reason each is kept a record.
+SINGLE_FIELD_ALLOWED = {
+    # perfbench reads `.ray_indices` of the witness cone for its verdict digest
+    ("fan", "Cone"),
+    # perfbench reads `.generators` of the monoid passed to `monoid.is_free`
+    ("monoid", "ClassMonoid"),
+}
+
+
+def _is_dataclass(top) -> bool:
+    for deco in top.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def test_no_single_field_record():
+    """A record with one field and no check of its own is its value: pass
+    the value instead."""
+    single = {
+        (module, top.name)
+        for module, tree in MODULES.items()
+        for top in tree.body
+        if isinstance(top, ast.ClassDef)
+        and _is_dataclass(top)
+        and sum(isinstance(item, ast.AnnAssign) for item in top.body) == 1
+    }
+    assert single == SINGLE_FIELD_ALLOWED
+
+
+def test_orbits_does_not_import_demazure():
+    """The orbit layer reads the precedence order as plain pairs, so it
+    depends on `classgroup`, `fan`, `linalg` and `monoid` only."""
+    imported = {
+        node.module
+        for node in ast.walk(MODULES["orbits"])
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+    }
+    assert imported == {"classgroup", "fan", "linalg", "monoid"}

@@ -20,7 +20,7 @@ import pytest
 
 from unifan import validate_fan
 from unifan.classgroup import ClassTable, radiant_classes
-from unifan.demazure import PrecedenceRelation, compute_precedence
+from unifan.demazure import compute_precedence
 from unifan.fan import Cone, Fan, ray_mask
 from unifan.linalg import IntVec, InvariantViolation, q_independent
 from unifan.monoid import gamma_of_rayset, in_span, irreducibles, is_free
@@ -71,7 +71,7 @@ def _is_basic(classes: ClassTable, rays: tuple[int, ...]) -> bool:
     return True
 
 
-def _hat_of(classes: ClassTable, precedence: PrecedenceRelation, rays) -> tuple[int, ...]:
+def _hat_of(classes: ClassTable, precedence: frozenset[tuple[int, int]], rays) -> tuple[int, ...]:
     member_set = set(rays)
     gens = gamma_of_rayset(classes, rays).generators if rays else ()
     hat = []
@@ -85,7 +85,7 @@ def _hat_of(classes: ClassTable, precedence: PrecedenceRelation, rays) -> tuple[
 
 
 def reference_enumerate_basic_subsets(
-    classes: ClassTable, precedence: PrecedenceRelation
+    classes: ClassTable, precedence: frozenset[tuple[int, int]]
 ) -> list[ReferenceBasicSubset]:
     """All basic subsets, found by pruned depth-first search.
 

@@ -256,7 +256,7 @@ class TestGaleDuality:
         classes, precedence = prepared(fan)
         for b in enumerate_basic_subsets(classes, precedence):
             complement = [
-                fan.ray_vector(r) for r in range(fan.num_rays) if r not in b.rays
+                fan.rays[r] for r in range(fan.num_rays) if r not in b.rays
             ]
             spans = rational_rank(complement) == fan.dim
             assert classes_independent(classes, b) == spans

@@ -35,14 +35,14 @@ def reference_bilateral_structures(fan):
     indices = range(fan.num_rays)
     out = []
     for combo in combinations(indices, n):
-        basis = tuple(fan.ray_vector(i) for i in combo)
+        basis = tuple(fan.rays[i] for i in combo)
         try:
             dual = invert_unimodular(tuple(zip(*basis)))
         except NotUnimodular:
             continue
         others = [i for i in indices if i not in combo]
         if all(
-            all(c <= 0 for c in mul_vec(dual, fan.ray_vector(i))) for i in others
+            all(c <= 0 for c in mul_vec(dual, fan.rays[i])) for i in others
         ):
             out.append(
                 BilateralStructure(positive=combo, negative=tuple(others), dual_basis=dual)
@@ -77,9 +77,9 @@ class TestBilateralInvariants:
             fan = family(spec)
             for b in iter_bilateral_structures(fan):
                 for tau in b.negative:
-                    assert all(c <= 0 for c in b.coordinates(fan.ray_vector(tau)))
+                    assert all(c <= 0 for c in b.coordinates(fan.rays[tau]))
                 for pos, eps in enumerate(b.positive):
-                    coords = b.coordinates(fan.ray_vector(eps))
+                    coords = b.coordinates(fan.rays[eps])
                     assert coords == tuple(
                         1 if t == pos else 0 for t in range(fan.dim)
                     )
