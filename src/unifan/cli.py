@@ -34,7 +34,7 @@ def load_fan_file(path: str):
             data = json.load(fh)
     except OSError as exc:
         raise FanFileError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise FanFileError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise FanFileError("fan file must be a JSON object")

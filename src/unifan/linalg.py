@@ -15,7 +15,6 @@ the functions here accept any sequence of rows.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 IntVec = tuple[int, ...]
@@ -195,18 +194,15 @@ def q_independent(vectors) -> bool:
     return rational_rank(vectors) == len(vectors)
 
 
-def solve_nonneg(target, gens) -> IntVec | None:
-    """Nonnegative integer coefficients a with sum(a_i * gens_i) = target.
+def solve_nonneg(target, gens) -> bool:
+    """Whether target is a nonnegative integer combination of gens.
 
-    Returns the lexicographically first solution, or None. A unit generator
-    e_j absorbs any amount of coordinate j, so the suffix gens[t:] spans a
-    residual iff some combination of its non-unit generators leaves a
-    residual supported on the unit coordinates of that suffix. Only the
-    non-unit generators are searched, depth-first with each coefficient
-    bounded by min over j with g_j > 0 of residual_j // g_j, and failed
-    states are remembered for the length of the call. The solution is then
-    built greedily: each coefficient is the smallest whose remainder the
-    rest of the list still spans.
+    A unit generator e_j absorbs any amount of coordinate j, so the target
+    is reached iff some combination of the non-unit generators leaves a
+    residual supported on the unit coordinates. Only the non-unit generators
+    are searched, depth-first with each coefficient bounded by min over j
+    with g_j > 0 of residual_j // g_j, and failed states are remembered for
+    the length of the call. No coefficient vector is built.
     """
     target = tuple(int(x) for x in target)
     gens = [tuple(int(x) for x in g) for g in gens]
@@ -219,56 +215,34 @@ def solve_nonneg(target, gens) -> IntVec | None:
     def mask(vec) -> int:
         return sum(1 << j for j, x in enumerate(vec) if x)
 
-    # Bit masks of coordinates: absorbed[t] by the unit generators of
-    # gens[t:], reach[p] by the non-unit generators nonunit[p:].
-    nonunit = [t for t, g in enumerate(gens) if sum(g) != 1]
-    absorbed = [0] * (len(gens) + 1)
-    for t in range(len(gens) - 1, -1, -1):
-        absorbed[t] = absorbed[t + 1] | (mask(gens[t]) if sum(gens[t]) == 1 else 0)
+    # Bit masks of coordinates: units by the unit generators (one distinct
+    # bit each), reach[p] by the non-unit generators nonunit[p:].
+    units = sum({1 << g.index(1) for g in gens if sum(g) == 1})
+    nonunit = [g for g in gens if sum(g) != 1]
     reach = [0] * (len(nonunit) + 1)
     for p in range(len(nonunit) - 1, -1, -1):
-        reach[p] = reach[p + 1] | mask(gens[nonunit[p]])
-
-    def bound(g, residual):
-        return min(residual[j] // g[j] for j in range(len(g)) if g[j] > 0)
-
-    def minus(residual, a, g):
-        return tuple(r - a * x for r, x in zip(residual, g))
+        reach[p] = reach[p + 1] | mask(nonunit[p])
 
     failed = set()
 
-    def search(units, p, residual) -> bool:
-        """Whether nonunit[p:] can leave a residual that `units` absorb."""
+    def search(p, residual) -> bool:
+        """Whether nonunit[p:] can leave a residual that the units absorb."""
         support = mask(residual)
         if not support & ~units:
             return True
         if support & ~(units | reach[p]):
             return False
-        key = (units, p, residual)
-        if key in failed:
+        if (p, residual) in failed:
             return False
-        g = gens[nonunit[p]]
-        for a in range(bound(g, residual) + 1):
-            if search(units, p + 1, minus(residual, a, g)):
+        g = nonunit[p]
+        bound = min(residual[j] // g[j] for j in range(len(g)) if g[j] > 0)
+        for a in range(bound + 1):
+            if search(p + 1, tuple(r - a * x for r, x in zip(residual, g))):
                 return True
-        failed.add(key)
+        failed.add((p, residual))
         return False
 
-    def spans(t, residual) -> bool:
-        return search(absorbed[t], bisect_left(nonunit, t), residual)
-
-    if not spans(0, target):
-        return None
-    coeffs = []
-    residual = target
-    for t, g in enumerate(gens):
-        # gens[t:] spans the residual, so some a within the bound breaks.
-        for a in range(bound(g, residual) + 1):
-            if spans(t + 1, minus(residual, a, g)):
-                break
-        coeffs.append(a)
-        residual = minus(residual, a, g)
-    return tuple(coeffs)
+    return search(0, target)
 
 
 @dataclass(frozen=True)

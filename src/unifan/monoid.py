@@ -35,11 +35,12 @@ def in_span(vector: IntVec, gens) -> bool:
     """Whether a nonnegative vector is a nonnegative integer combination of
     the nonzero generators.
 
-    The trivial cases need no search: zero and the generators themselves are
-    members, and a unit vector that is not a generator is not, since it is
-    no sum of nonzero nonnegative vectors other than itself. Membership is
-    unit-absorbing: a vector on the unit generators' coordinates is a member
-    with no search, and `solve_nonneg` searches only the non-unit generators.
+    The trusted shortcuts run before the search: zero and the generators
+    themselves are members; a unit vector that is not a generator is not, as
+    it is no sum of nonzero nonnegative vectors other than itself; with no
+    generators nothing else is; and a vector on the unit generators'
+    coordinates is a member, as they absorb it. Only what is left reaches
+    `solve_nonneg`, which searches the non-unit generators for a yes or no.
     """
     if not any(vector) or vector in gens:
         return True
@@ -48,7 +49,7 @@ def in_span(vector: IntVec, gens) -> bool:
     units = {g.index(1) for g in gens if sum(g) == 1}
     if all(j in units for j, x in enumerate(vector) if x):
         return True
-    return solve_nonneg(vector, gens) is not None
+    return solve_nonneg(vector, gens)
 
 
 def contains(monoid: ClassMonoid, vector) -> bool:

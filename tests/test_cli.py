@@ -69,6 +69,17 @@ class TestAnalyze:
         assert code == 2
         assert json.loads(out)["error"]["kind"] == "FanFileError"
 
+    @pytest.mark.parametrize("prefix", ["", '{"dim": 2, "rays": '], ids=["bare", "rays"])
+    def test_deeply_nested_json_is_a_fan_file_error(self, capsys, tmp_path, prefix):
+        # json.load raises RecursionError, not JSONDecodeError, past its depth limit
+        f = tmp_path / "deep.json"
+        f.write_text(prefix + "[" * 10**5)
+        code, out = run(capsys, "analyze", str(f))
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["kind"] == "FanFileError"
+        assert error["message"].startswith(f"{f} is not valid JSON: ")
+
     @pytest.mark.parametrize(
         "data, message",
         [

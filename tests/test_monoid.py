@@ -13,9 +13,12 @@ from conftest import (
     RADIANT_FIXTURES,
     family,
     negative_surface,
+    p1_power,
     pairwise_irreducibles,
+    product_of,
     random_surfaces,
 )
+from test_linalg import reference_solve_nonneg
 
 
 def table_of(fan):
@@ -105,6 +108,42 @@ class TestIrreduciblesAgainstPairwise:
         for fan in radiant:
             for monoid in complement_monoids(fan):
                 assert irreducibles(monoid) == pairwise_irreducibles(monoid)
+
+
+def membership_queries(fan):
+    """The (vector, generators) queries that `irreducibles` makes on every
+    complement monoid of a radiant fan, then those that `build_catalog` makes
+    for the rays of each maximal cone."""
+    queries = []
+    for monoid in complement_monoids(fan):
+        gens = monoid.generators
+        queries += [(g, [h for h in gens if h != g]) for g in gens]
+    table = table_of(fan)
+    for sigma in fan.max_cones:
+        gens = tuple(sorted({table.class_of(r) for r in range(fan.num_rays) if r not in sigma}))
+        queries += [(table.class_of(r), gens) for r in sigma]
+    return queries
+
+
+MEMBERSHIP_FANS = {spec: lambda spec=spec: [family(spec)] for spec in RADIANT_FIXTURES.values()}
+MEMBERSHIP_FANS["P1^3"] = lambda: [p1_power(3)]
+MEMBERSHIP_FANS["P2xP1"] = lambda: [product_of(family("pn:2"), family("pn:1"))]
+MEMBERSHIP_FANS["random_surfaces"] = lambda: [
+    fan for fan in random_surfaces() if find_bilateral(fan) is not None
+]
+
+
+class TestInSpanAgainstReference:
+    """On real class tables, `in_span` (its shortcuts, then the search)
+    answers every membership query of the analysis as the exhaustive search
+    does."""
+
+    @pytest.mark.parametrize("name", sorted(MEMBERSHIP_FANS))
+    def test_analysis_queries(self, name):
+        for fan in MEMBERSHIP_FANS[name]():
+            for vector, gens in membership_queries(fan):
+                expected = reference_solve_nonneg(vector, gens) is not None
+                assert in_span(vector, gens) == expected, (vector, gens)
 
 
 class TestInSpan:
