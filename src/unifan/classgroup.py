@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fan import Fan
-from .linalg import IntVec, InvariantViolation, smith_normal_form
+from .linalg import IntVec, InvariantViolation, int_det, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,16 @@ def class_group(fan: Fan) -> ClassGroupInfo:
 
     The invariant factors of the (num_rays x dim) matrix of primitive ray
     vectors give the free rank and torsion invariants of the class group.
+
+    Certificate first: when the first maximal cone has `dim` rays with a
+    determinant of +-1, the group is free of rank num_rays - dim and no
+    Smith form is computed. Proof: the invariant factors multiply to the gcd
+    of the maximal minors (Newman, *Integral Matrices*, 1972), and a minor
+    of +-1 makes that gcd 1, so all `dim` factors are 1.
     """
+    first = fan.max_cones[0] if fan.max_cones else ()
+    if len(first) == fan.dim and abs(int_det([fan.rays[i] for i in first])) == 1:
+        return ClassGroupInfo(free_rank=fan.num_rays - fan.dim, torsion_invariants=())
     factors = smith_normal_form(fan.rays)
     return ClassGroupInfo(
         free_rank=fan.num_rays - sum(1 for x in factors if x != 0),

@@ -31,10 +31,14 @@ class UsageError(Exception):
 def load_fan_file(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise FanFileError(f"cannot read {path}: {exc}") from None
-    except (json.JSONDecodeError, RecursionError) as exc:
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers json.JSONDecodeError and the interpreter's limit
+        # on the digits of an integer literal.
         raise FanFileError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise FanFileError("fan file must be a JSON object")

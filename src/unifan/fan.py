@@ -215,7 +215,12 @@ def is_complete(fan: Fan) -> bool:
         its hyperplane: det(R, a) and det(R, b), with the same row order
         of R, are nonzero of opposite signs;
     (c) q = the sum of the rays of maximal[0], interior to that cone, lies
-        in no other cone (Cramer signs), so the covering degree is 1.
+        in no other cone (Cramer signs), so the covering degree is 1. The
+        Cramer coefficients at the rays outside maximal[0] are evaluated
+        first. `all` runs over the same positions in any order, so the
+        answer is unchanged. On a cone that shares a ridge with maximal[0],
+        the coefficient at its one outside ray is negative by (b), so a
+        single determinant settles that cone.
 
     (a) and (b) make the cones cover every generic point the same number
     of times; (c) makes that number 1, which rules out a fan that wraps
@@ -243,10 +248,14 @@ def is_complete(fan: Fan) -> bool:
             ridge_sides.setdefault(ridge, []).append((det > 0) == ((dim - 1 - pos) % 2 == 0))
     if any(len(sides) != 2 or sides[0] == sides[1] for sides in ridge_sides.values()):
         return False
-    q = tuple(sum(col) for col in zip(*(rays[i] for i in maximal[0].ray_indices)))
+    first = maximal[0].ray_indices
+    q = tuple(sum(col) for col in zip(*(rays[i] for i in first)))
     for cone, det in zip(maximal[1:], dets[1:]):
-        rows = [rays[i] for i in cone.ray_indices]
-        # q is in the closed cone iff every Cramer coefficient is >= 0.
-        if all(int_det(rows[:k] + [q] + rows[k + 1 :]) * det >= 0 for k in range(dim)):
+        idx = cone.ray_indices
+        rows = [rays[i] for i in idx]
+        # q is in the closed cone iff every Cramer coefficient is >= 0; the
+        # ones at rays outside maximal[0] go first, as they turn negative.
+        order = sorted(range(dim), key=lambda k: idx[k] in first)
+        if all(int_det(rows[:k] + [q] + rows[k + 1 :]) * det >= 0 for k in order):
             return False
     return True

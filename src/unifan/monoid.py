@@ -77,5 +77,14 @@ def irreducibles(monoid: ClassMonoid) -> list[IntVec]:
 
 
 def is_free(monoid: ClassMonoid) -> bool:
-    """True iff the irreducible elements are Q-linearly independent."""
+    """True iff the irreducible elements are Q-linearly independent.
+
+    Certificate first: when the generators include all k unit vectors, the
+    monoid is N^k and free, and no irreducible is computed. Proof: every
+    nonnegative vector is a sum of units, so the irreducibles are exactly
+    the k units, which are independent.
+    """
+    gens = monoid.generators
+    if gens and sum(1 for g in gens if sum(g) == 1) == len(gens[0]):
+        return True
     return q_independent(irreducibles(monoid))

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cache, cmp_to_key
 from itertools import combinations, product
 from math import gcd
 
@@ -79,6 +79,25 @@ def random_surfaces(count=30, seed=321):
     """Seeded draws of `random_complete_surface` with 0 to 5 extra rays."""
     rng = random.Random(seed)
     return [random_complete_surface(rng, extra_rays=rng.randint(0, 5)) for _ in range(count)]
+
+
+def box_surfaces(box: int, max_rays: int):
+    """Each complete fan whose rays are primitive vectors in [-box, box]^2,
+    with k <= max_rays rays: a set of directions in angular order whose
+    consecutive turns are all strictly below a half turn, with one cone per
+    consecutive pair. Each fan comes once, listed from its first direction."""
+    primitive = _ccw_sorted(
+        (x, y)
+        for x in range(-box, box + 1)
+        for y in range(-box, box + 1)
+        if gcd(x, y) == 1
+    )
+    for k in range(3, max_rays + 1):
+        for rays in combinations(primitive, k):
+            turns = zip(rays, rays[1:] + rays[:1])
+            if all(a[0] * b[1] - a[1] * b[0] > 0 for a, b in turns):
+                cones = [[i, (i + 1) % k] for i in range(k)]
+                yield validate_fan(2, list(rays), cones, require_complete=True)
 
 
 def p1_power(k: int):
@@ -371,6 +390,40 @@ def negative_surface(d: int):
         [[0, 1], [1, 3], [2, 3], [0, 2]],
         require_complete=True,
     )
+
+
+def torsion_surface():
+    """Complete surface fan whose ray matrix has invariant factors (1, 2):
+    its class group is Z + Z/2."""
+    return validate_fan(
+        2, [(1, 0), (-1, 2), (-1, -2)], [[0, 1], [1, 2], [2, 0]], require_complete=True
+    )
+
+
+def p112_first_cone_det2():
+    """P(1,1,2) with its rays listed so that the first maximal cone, (0, 1),
+    has determinant 2, which sends `class_group` to the Smith form."""
+    return validate_fan(
+        2, [(-1, -2), (1, 0), (0, 1)], [[0, 1], [1, 2], [2, 0]], require_complete=True
+    )
+
+
+@cache
+def box2_rays5():
+    """The 4284 complete fans of `box_surfaces(2, 5)`, enumerated once."""
+    return tuple(box_surfaces(2, 5))
+
+
+# The corpora on which each exact certificate (completeness, class group,
+# freeness) is checked against the slow path it short-cuts.
+CERTIFICATE_CORPORA = {
+    "family_specs": lambda: [family(spec) for spec in FAMILY_SPECS],
+    "fixtures": lambda: [family(spec) for spec in sorted(RADIANT_FIXTURES.values())],
+    "random_surfaces": random_surfaces,
+    "products": lambda: [p1_power(3), product_of(family("pn:2"), family("pn:1")), del_pezzo6()],
+    "smith_path": lambda: [torsion_surface(), p112_first_cone_det2()],
+    "box2-rays5": box2_rays5,
+}
 
 
 @pytest.fixture(scope="session")

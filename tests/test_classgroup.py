@@ -1,11 +1,30 @@
 import pytest
 
-from unifan.classgroup import class_group, radiant_classes
-from unifan.fan import validate_fan
-from unifan.linalg import InvariantViolation
+import unifan.classgroup as classgroup_module
+from unifan.classgroup import ClassGroupInfo, class_group, radiant_classes
+from unifan.linalg import InvariantViolation, smith_normal_form
 from unifan.radiance import BilateralStructure, find_bilateral
 
-from conftest import RADIANT_FIXTURES, family
+from conftest import (
+    CERTIFICATE_CORPORA,
+    RADIANT_FIXTURES,
+    family,
+    p112_first_cone_det2,
+    torsion_surface,
+)
+
+
+def reference_class_group(fan) -> ClassGroupInfo:
+    """Cokernel of the character-to-divisor pairing map.
+
+    The invariant factors of the (num_rays x dim) matrix of primitive ray
+    vectors give the free rank and torsion invariants of the class group.
+    """
+    factors = smith_normal_form(fan.rays)
+    return ClassGroupInfo(
+        free_rank=fan.num_rays - sum(1 for x in factors if x != 0),
+        torsion_invariants=tuple(x for x in factors if x > 1),
+    )
 
 
 class TestClassGroup:
@@ -26,12 +45,7 @@ class TestClassGroup:
         assert class_group(dp6).free_rank == 4
 
     def test_torsion_example(self):
-        # complete surface fan whose ray matrix has second invariant factor 2
-        fan = validate_fan(
-            2, [(1, 0), (-1, 2), (-1, -2)], [[0, 1], [1, 2], [2, 0]],
-            require_complete=True,
-        )
-        info = class_group(fan)
+        info = class_group(torsion_surface())
         assert info.free_rank == 1
         assert info.torsion_invariants == (2,)
 
@@ -40,6 +54,36 @@ class TestClassGroup:
         info = class_group(fan)
         assert info.free_rank == fan.num_rays - fan.dim
         assert info.torsion_invariants == ()
+
+
+class TestClassGroupAgainstReference:
+    """The unimodular-first-cone certificate against the Smith form it skips."""
+
+    @pytest.mark.parametrize("name", sorted(CERTIFICATE_CORPORA))
+    def test_corpus(self, name):
+        for fan in CERTIFICATE_CORPORA[name]():
+            assert class_group(fan) == reference_class_group(fan), fan.rays
+
+    @pytest.mark.parametrize("name", ["family_specs", "fixtures", "products"])
+    def test_no_smith_form_behind_a_unimodular_first_cone(self, monkeypatch, name):
+        def forbidden(a):
+            raise AssertionError("smith_normal_form was called")
+
+        monkeypatch.setattr(classgroup_module, "smith_normal_form", forbidden)
+        for fan in CERTIFICATE_CORPORA[name]():
+            class_group(fan)
+
+    def test_smith_form_behind_a_first_cone_of_determinant_two(self, monkeypatch):
+        calls = []
+
+        def counting(a):
+            calls.append(a)
+            return smith_normal_form(a)
+
+        monkeypatch.setattr(classgroup_module, "smith_normal_form", counting)
+        fan = p112_first_cone_det2()
+        assert class_group(fan) == ClassGroupInfo(free_rank=1, torsion_invariants=())
+        assert calls == [fan.rays]
 
 
 class TestRadiantClasses:

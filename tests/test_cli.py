@@ -80,6 +80,16 @@ class TestAnalyze:
         assert error["kind"] == "FanFileError"
         assert error["message"].startswith(f"{f} is not valid JSON: ")
 
+    def test_huge_integer_literal_is_a_fan_file_error(self, capsys, tmp_path):
+        # past the interpreter's 4300-digit limit json raises a plain ValueError
+        f = tmp_path / "huge.json"
+        f.write_text('{"dim": 2, "rays": [[1, 0], [0, 1], [-1, ' + "9" * 5000 + "]]}")
+        code, out = run(capsys, "analyze", str(f))
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["kind"] == "FanFileError"
+        assert error["message"].startswith(f"{f} is not valid JSON: ")
+
     @pytest.mark.parametrize(
         "data, message",
         [

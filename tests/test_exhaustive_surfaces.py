@@ -3,35 +3,12 @@ most k rays: the surface classification agrees with the verdict, and a
 finite verdict's catalog is a partition of the fan. B = 2, k <= 5 runs by
 default; the larger boxes are marked slow (`python -m pytest -m slow`)."""
 
-from itertools import combinations
-from math import gcd
-
 import pytest
 
-from unifan.fan import validate_fan
 from unifan.families import cross_check
 from unifan.pipeline import analyze_fan
 
-from conftest import _ccw_sorted
-
-
-def box_surfaces(box: int, max_rays: int):
-    """Each complete fan whose rays are primitive vectors in [-box, box]^2,
-    with k <= max_rays rays: a set of directions in angular order whose
-    consecutive turns are all strictly below a half turn, with one cone per
-    consecutive pair. Each fan comes once, listed from its first direction."""
-    primitive = _ccw_sorted(
-        (x, y)
-        for x in range(-box, box + 1)
-        for y in range(-box, box + 1)
-        if gcd(x, y) == 1
-    )
-    for k in range(3, max_rays + 1):
-        for rays in combinations(primitive, k):
-            turns = zip(rays, rays[1:] + rays[:1])
-            if all(a[0] * b[1] - a[1] * b[0] > 0 for a, b in turns):
-                cones = [[i, (i + 1) % k] for i in range(k)]
-                yield validate_fan(2, list(rays), cones, require_complete=True)
+from conftest import box_surfaces
 
 
 @pytest.mark.parametrize(

@@ -20,14 +20,17 @@ from unifan.fan import (
     ray_mask,
     validate_fan,
 )
-from unifan.linalg import feasible
+from unifan.linalg import feasible, int_det
 
 from conftest import (
+    CERTIFICATE_CORPORA,
     FAMILY_SPECS,
     RADIANT_FIXTURES,
+    box2_rays5,
     cones_with_rayset,
     family,
     has_cone,
+    p1_power,
     random_surfaces,
 )
 
@@ -438,6 +441,27 @@ class TestIsCompleteAgainstReference:
         for factors in ([P1] * 7, [DP6] * 3):
             fan = validate_fan(*product_data(factors))
             assert is_complete(fan) is reference_is_complete(fan) is True
+
+    def test_smith_path_and_box_surfaces(self):
+        self._check(CERTIFICATE_CORPORA["smith_path"]())
+        for fan in box2_rays5():
+            assert is_complete(fan) is reference_is_complete(fan) is True
+
+    @pytest.mark.parametrize("spec", [f"pn:{n}" for n in range(1, 6)] + ["wps:1,1,2,4", "P1^3"])
+    def test_one_cramer_determinant_per_further_cone(self, monkeypatch, spec):
+        """One determinant per cone for its orientation, then one Cramer
+        coefficient per cone after the first: the one at a ray outside the
+        first cone, which is negative."""
+        fan = p1_power(3) if spec == "P1^3" else family(spec)
+        calls = []
+
+        def counting(rows):
+            calls.append(rows)
+            return int_det(rows)
+
+        monkeypatch.setattr(fan_module, "int_det", counting)
+        assert is_complete(fan)
+        assert len(calls) <= 2 * len(fan.max_cones) - 1
 
     def test_small_incomplete_fans(self):
         for fan in (orthant_fan(), validate_fan(1, [(1,)], [[0]])):

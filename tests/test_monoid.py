@@ -5,11 +5,13 @@ from itertools import product
 import pytest
 
 from unifan.classgroup import radiant_classes
-from unifan.linalg import DegenerateGenerator
+from unifan.linalg import DegenerateGenerator, q_independent
 from unifan.monoid import contains, gamma_of_rayset, in_span, irreducibles, is_free
+from unifan.orbits import non_free_witness
 from unifan.radiance import find_bilateral
 
 from conftest import (
+    CERTIFICATE_CORPORA,
     RADIANT_FIXTURES,
     family,
     negative_surface,
@@ -188,6 +190,41 @@ class TestIsFree:
 
     def test_empty_free(self, f2):
         assert is_free(gamma_of_rayset(table_of(f2), []))
+
+
+def reference_is_free(monoid) -> bool:
+    """True iff the irreducible elements are Q-linearly independent."""
+    return q_independent(irreducibles(monoid))
+
+
+class TestIsFreeAgainstReference:
+    """The all-units certificate against the irreducibles it skips."""
+
+    @pytest.mark.parametrize("name", sorted(CERTIFICATE_CORPORA))
+    def test_complement_monoids(self, name):
+        radiant = [fan for fan in CERTIFICATE_CORPORA[name]() if find_bilateral(fan) is not None]
+        assert radiant
+        for fan in radiant:
+            for monoid in complement_monoids(fan):
+                assert is_free(monoid) == reference_is_free(monoid), monoid.generators
+
+    @pytest.mark.parametrize("spec", sorted(RADIANT_FIXTURES.values()))
+    def test_empty_cone_needs_no_irreducibles(self, monkeypatch, spec):
+        """The empty cone's monoid holds every class, the units among them,
+        so neither `is_free` nor the witness search computes its irreducibles."""
+        fan = family(spec)
+        table = table_of(fan)
+        everything = gamma_of_rayset(table, range(fan.num_rays))
+        queried = []
+
+        def recording(monoid):
+            queried.append(monoid)
+            return irreducibles(monoid)
+
+        monkeypatch.setattr("unifan.monoid.irreducibles", recording)
+        assert is_free(everything)
+        non_free_witness(fan, table)
+        assert everything not in queried
 
 
 def all_representations(target, gens):
