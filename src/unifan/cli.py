@@ -32,7 +32,7 @@ def load_fan_file(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FanFileError(f"cannot read {path}: {exc}") from None
     try:
         data = json.loads(text)

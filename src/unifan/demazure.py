@@ -9,7 +9,7 @@ from operator import add, sub
 
 from .classgroup import ClassTable
 from .fan import Fan
-from .linalg import IntVec, InvariantViolation, LinearSystem, lattice_points
+from .linalg import IntVec, InvariantViolation, LinearSystem, lattice_points, scaled_inverse
 from .radiance import BilateralStructure
 
 
@@ -44,12 +44,17 @@ def enumerate_roots(
     ray's roots are read off the class table (`_class_table_slices`) and a
     root is semisimple iff it is one of the equal-class pair vectors of
     `semisimple_roots`. Otherwise each ray's roots are the bounded lattice
-    slice pairing to -1 with that ray and nonnegatively with all others,
-    from the projection chain of `lattice_points` (in lex order), and a root
-    is semisimple iff its negative is a root too.
+    slice pairing to -1 with that ray and nonnegatively with all others: []
+    when `_certified_empty` proves the slice empty, else from the projection
+    chain of `lattice_points` (in lex order). A root is semisimple iff its
+    negative is a root too.
     """
     if bilateral is None or classes is None:
-        slices = [lattice_points(_slice_system(fan, rho)) for rho in range(fan.num_rays)]
+        empty = _certified_empty(fan)
+        slices = [
+            [] if empty >> rho & 1 else lattice_points(_slice_system(fan, rho))
+            for rho in range(fan.num_rays)
+        ]
         all_e = {e for found in slices for e in found}
         semisimple = {e for e in all_e if tuple([-x for x in e]) in all_e}
     else:
@@ -71,6 +76,39 @@ def _slice_system(fan: Fan, rho: int) -> LinearSystem:
             (fan.rays[other], 0) for other in range(fan.num_rays) if other != rho
         ],
     )
+
+
+def _certified_empty(fan: Fan) -> int:
+    """Mask of the rays whose slice a one-cone Farkas certificate proves empty.
+
+    Take a maximal cone sigma holding rho and a ray r outside it, and write
+    r = sum_u a_u u over sigma's rays. If a_rho > 0 and a_u <= 0 for every
+    other u, then a_rho rho = r + sum_u (-a_u) u, so an e with <e, rho> = -1
+    pairs negatively with r or with another u: the slice at rho is empty.
+    With b the matrix of sigma's rays as columns and (d, M = d b^-1) from
+    `scaled_inverse`, a = M r / d has the signs of d * M r, so sigma need
+    not be a lattice basis. The certificate is
+    sufficient, not complete: an uncertified slice may still be empty.
+    Cones whose rays are all certified are skipped, and the scan stops once
+    every ray is.
+    """
+    n = fan.dim
+    full = (1 << fan.num_rays) - 1
+    empty = 0
+    for cone in fan.max_cones:
+        if empty == full:
+            break
+        sigma = cone.ray_indices
+        if len(sigma) != n or all(empty >> u & 1 for u in sigma):
+            continue
+        # sigma is simplicial and full-dimensional, so b is nonsingular
+        d, m = scaled_inverse(tuple(zip(*(fan.rays[u] for u in sigma))))
+        for r, vector in enumerate(fan.rays):
+            if r not in sigma:
+                positive = [u for u, row in zip(sigma, m) if d * _dot(row, vector) > 0]
+                if len(positive) == 1:
+                    empty |= 1 << positive[0]
+    return empty
 
 
 def _class_table_slices(

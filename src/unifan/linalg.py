@@ -2,11 +2,12 @@
 
 Everything in this module is computed with Python's arbitrary-precision
 integers, fraction-free; no floating point is used anywhere. The kernel
-provides the invariant factors of a Smith normal form; unimodular inverses,
-rational ranks and determinants by fraction-free elimination (Bareiss);
-nonnegative integer feasibility; and, for linear systems, rational
-feasibility and bounded lattice-point enumeration over one chain of exact
-integer projections (equality substitution, then Fourier-Motzkin).
+provides the invariant factors of a Smith normal form; scaled and
+unimodular inverses, rational ranks and determinants by fraction-free
+elimination (Bareiss); nonnegative integer feasibility; and, for linear
+systems, rational feasibility and bounded lattice-point enumeration over
+one chain of exact integer projections (equality substitution, then
+Fourier-Motzkin).
 
 A vector is a tuple of ints and a matrix is the tuple of its row tuples;
 the functions here accept any sequence of rows.
@@ -104,15 +105,13 @@ def smith_normal_form(a) -> IntVec:
     return tuple(abs(s[i][i]) for i in range(min(m, n)))
 
 
-def invert_unimodular(b) -> IntMat:
-    """Exact integer inverse of a matrix with |det| = 1.
+def scaled_inverse(b) -> tuple[int, IntMat] | None:
+    """(d, d*b^-1) with d = +-det(b) for a square integer matrix b, or None
+    when b is singular.
 
     Fraction-free Gauss-Jordan elimination on [b | 1]: every entry stays an
     integer minor, so each division is exact, and the left block ends as
-    d*1 and the right block as d*b^-1, where d = +-det(b). Raises
-    NotUnimodular, naming b's invariant factors, when d is not a unit or a
-    column has no pivot. The rows of the inverse's transpose are the dual
-    basis of b's rows.
+    d*1 and the right block as d*b^-1, with d the last pivot.
     """
     n = len(b)
     if any(len(row) != n for row in b):
@@ -122,7 +121,7 @@ def invert_unimodular(b) -> IntMat:
     for k in range(n):
         pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
         if pivot is None:
-            break
+            return None
         m[k], m[pivot] = m[pivot], m[k]
         rk = m[k]
         p = rk[k]
@@ -131,9 +130,21 @@ def invert_unimodular(b) -> IntMat:
                 lead = ri[k]
                 m[i] = [(p * x - lead * y) // d for x, y in zip(ri, rk)]
         d = p
-    else:  # every column had a pivot
-        if d in (1, -1):
-            return tuple(tuple(d * x for x in row[n:]) for row in m)
+    return d, tuple(tuple(row[n:]) for row in m)
+
+
+def invert_unimodular(b) -> IntMat:
+    """Exact integer inverse of a matrix with |det| = 1.
+
+    Reads it off `scaled_inverse`'s (d, d*b^-1) when d is a unit. Raises
+    NotUnimodular, naming b's invariant factors, when d is not a unit or b
+    is singular. The rows of the inverse's transpose are the dual basis of
+    b's rows.
+    """
+    scaled = scaled_inverse(b)
+    if scaled is not None and scaled[0] in (1, -1):
+        d, m = scaled
+        return tuple(tuple(d * x for x in row) for row in m)
     raise NotUnimodular(f"matrix has invariant factors {list(smith_normal_form(b))}")
 
 

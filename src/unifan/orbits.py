@@ -249,6 +249,15 @@ def non_free_witness(fan: Fan, classes: ClassTable):
     so each distinct set is tested once. A cone's set is keyed by the mask
     of the distinct classes outside it: a class drops out exactly when the
     cone holds all of its carriers.
+
+    Only the cones with 0 < size < dim are tested; on a radiant class table
+    the others are free. The empty cone's monoid holds every class, the k
+    unit classes of the negative rays among them, and every class is
+    nonnegative, so it is N^k. A maximal cone sigma has dim rays and k
+    outside it. Its rays are a Q-basis of N_Q, so every divisor is linearly
+    equivalent over Q to one supported outside sigma: those k classes span
+    Cl_Q, of rank k, so they are independent, and so are the irreducibles
+    among them.
     """
     distinct = sorted(set(classes.classes))
     class_bit = [1 << distinct.index(c) for c in classes.classes]
@@ -258,6 +267,10 @@ def non_free_witness(fan: Fan, classes: ClassTable):
     every = (1 << len(distinct)) - 1
     free: set[int] = set()
     for inside, cone in fan.all_cones.items():
+        if len(cone) == fan.dim:
+            break  # (size, lex) order: only maximal cones are left
+        if not inside:
+            continue
         key = every
         for r in cone.ray_indices:
             if not carriers[class_bit[r]] & ~inside:

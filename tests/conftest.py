@@ -14,6 +14,7 @@ from unifan.linalg import NotUnimodular, q_independent
 from unifan.monoid import contains, irreducibles
 from unifan.orbits import OrbitRecord, Verdict
 from unifan.pipeline import analyze_fan
+from unifan.radiance import find_bilateral
 
 
 def family(spec: str):
@@ -120,6 +121,24 @@ P3_BLOWUP_CONES = [
     [2, 4, 7], [2, 7, 9], [2, 9, 10], [3, 4, 7], [3, 4, 11], [3, 5, 6],
     [3, 5, 12], [3, 6, 8], [3, 7, 9], [3, 9, 13], [3, 10, 13], [9, 10, 13],
 ]
+
+
+def star_subdivided(fan: Fan, steps: int, seed) -> Fan:
+    """`steps` star subdivisions of `fan`, made as the benchmark's blowups
+    workload makes its draws but with no radiance filter: each step replaces
+    a maximal cone drawn by `random.Random(seed)` by the cones joining its
+    facets to the primitive vector of its ray sum."""
+    rng = random.Random(seed)
+    rays = list(fan.rays)
+    cones = [list(c.ray_indices) for c in fan.max_cones]
+    for _ in range(steps):
+        sigma = rng.choice(cones)
+        total = [sum(rays[i][k] for i in sigma) for k in range(fan.dim)]
+        g = gcd(*total)
+        rays.append(tuple(x // g for x in total))
+        kept = [c for c in cones if c != sigma]
+        cones = sorted(kept + [sorted([i for i in sigma if i != drop] + [len(rays) - 1]) for drop in sigma])
+    return validate_fan(fan.dim, rays, cones, require_complete=True)
 
 
 def product_of(*fans):
@@ -423,6 +442,35 @@ CERTIFICATE_CORPORA = {
     "products": lambda: [p1_power(3), product_of(family("pn:2"), family("pn:1")), del_pezzo6()],
     "smith_path": lambda: [torsion_surface(), p112_first_cone_det2()],
     "box2-rays5": box2_rays5,
+}
+
+
+def non_radiant(fans):
+    return [fan for fan in fans if find_bilateral(fan) is None]
+
+
+def non_radiant_draws():
+    """The non-radiant fans among seeded star subdivisions of P3, P4 and
+    dP6 x P1. With fewer subdivisions, every P3 and P4 draw of these seeds
+    is radiant."""
+    bases = {"P3": family("pn:3"), "P4": family("pn:4"), "dP6xP1": product_of(del_pezzo6(), family("pn:1"))}
+    plan = [("P3", 4, 8), ("P3", 5, 8), ("P4", 6, 8), ("dP6xP1", 4, 8)]
+    return non_radiant(
+        star_subdivided(bases[base], steps, f"{base}:{steps}:{k}")
+        for base, steps, draws in plan
+        for k in range(draws)
+    )
+
+
+# The non-radiant corpora on which root enumeration, with its Farkas
+# certificate of empty slices, is checked against the projection chain.
+NON_RADIANT_CORPORA = {
+    "dP6": lambda: [del_pezzo6()],
+    "dP6xP1": lambda: [product_of(del_pezzo6(), family("pn:1"))],
+    "dP6xdP6": lambda: [product_of(del_pezzo6(), del_pezzo6())],
+    "torsion_surface": lambda: [torsion_surface()],
+    "box2-rays5": lambda: non_radiant(box2_rays5()),
+    "draws": non_radiant_draws,
 }
 
 

@@ -90,6 +90,16 @@ class TestAnalyze:
         assert error["kind"] == "FanFileError"
         assert error["message"].startswith(f"{f} is not valid JSON: ")
 
+    def test_non_utf8_file_is_a_fan_file_error(self, capsys, tmp_path):
+        # reading the text raises UnicodeDecodeError, which is not an OSError
+        f = tmp_path / "latin.json"
+        f.write_bytes(b'{"dim": 2\xff}')
+        code, out = run(capsys, "analyze", str(f))
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["kind"] == "FanFileError"
+        assert error["message"].startswith(f"cannot read {f}: ")
+
     @pytest.mark.parametrize(
         "data, message",
         [

@@ -7,18 +7,21 @@ import unifan.demazure
 import unifan.pipeline
 from unifan.classgroup import ClassTable, radiant_classes
 from unifan.demazure import (
+    _certified_empty,
+    _slice_system,
     choose_v,
     compute_precedence,
     enumerate_roots,
     mark_membership,
     semisimple_roots,
 )
-from unifan.linalg import IntVec, InvariantViolation, LinearSystem, lattice_points
+from unifan.linalg import IntVec, InvariantViolation, LinearSystem, feasible, lattice_points
 from unifan.pipeline import FanAnalysis, analyze_fan
 from unifan.radiance import find_bilateral
 
 from conftest import (
     FAMILY_SPECS,
+    NON_RADIANT_CORPORA,
     RADIANT_FIXTURES,
     del_pezzo6,
     family,
@@ -199,6 +202,39 @@ class TestRootRecordsAgainstReference:
         assert self.assert_same(family(spec))
 
 
+class TestCertifiedEmptySlices:
+    """The Farkas certificate of empty slices against the projection chain
+    it short-cuts: on every non-radiant corpus the roots equal the
+    reference's, and every certified slice is rationally infeasible."""
+
+    # corpus -> (fans, slices certified empty, empty slices not certified)
+    COUNTS = {
+        "dP6": (1, 6, 0),
+        "dP6xP1": (1, 6, 0),
+        "dP6xdP6": (1, 12, 0),
+        "torsion_surface": (1, 0, 2),
+        "box2-rays5": (2379, 7968, 3024),
+        "draws": (18, 159, 11),
+    }
+
+    @pytest.mark.parametrize("name", sorted(NON_RADIANT_CORPORA))
+    def test_against_reference(self, name):
+        fans = NON_RADIANT_CORPORA[name]()
+        certified = missed = 0
+        for fan in fans:
+            expected = reference_enumerate_roots(fan)
+            assert root_fields(enumerate_roots(fan)) == root_fields(expected)
+            holding = {r.distinguished_ray for r in expected}
+            empty = _certified_empty(fan)
+            for rho in range(fan.num_rays):
+                if empty >> rho & 1:
+                    assert not feasible(_slice_system(fan, rho)), (fan.rays, rho)
+                    certified += 1
+                else:
+                    missed += rho not in holding
+        assert (len(fans), certified, missed) == self.COUNTS[name]
+
+
 def reference_choose_v(fan, bilateral, roots):
     """The record-based choice: `v` avoids the hyperplane of every root
     record flagged semisimple."""
@@ -318,34 +354,36 @@ class TestRootsOnDemand:
         assert analysis.roots is analysis.roots
 
     @pytest.mark.parametrize(
-        "fan",
-        [family("hirzebruch:2"), family("wps:1,1,30,900"), p1_power(3), del_pezzo6()],
-        ids=["F2", "wps-1-1-30-900", "P1^3", "dP6"],
+        "fan, sliced",
+        [
+            (family("hirzebruch:2"), []),
+            (family("wps:1,1,30,900"), []),
+            (p1_power(3), []),
+            (del_pezzo6(), []),
+            (product_of(del_pezzo6(), family("pn:1")), [(0, 0, 1), (0, 0, -1)]),
+        ],
+        ids=["F2", "wps-1-1-30-900", "P1^3", "dP6", "dP6xP1"],
     )
-    def test_radiant_fans_solve_no_linear_system(self, fan, monkeypatch):
+    def test_radiant_fans_solve_no_linear_system(self, fan, sliced, monkeypatch):
         """On a radiant fan the records come from the class table and no
-        `lattice_points` slice is taken; dP6 is not radiant and keeps them."""
+        `lattice_points` slice is taken. dP6 and dP6 x P1 are not radiant:
+        every slice of dP6 is certified empty, and dP6 x P1 takes exactly
+        the slices of its rays +-e_3, which hold roots."""
         calls = []
         real = unifan.demazure.lattice_points
 
         def counted(system):
-            calls.append(system)
+            calls.append(system.equalities[0][0])
             return real(system)
 
         analysis = analyze_fan(fan)
-        radiant = analysis.bilateral is not None
         with monkeypatch.context() as patch:
-            patch.setattr(
-                unifan.demazure,
-                "lattice_points",
-                forbidden("lattice_points") if radiant else counted,
-            )
+            patch.setattr(unifan.demazure, "lattice_points", counted)
             roots = analysis.roots
+        assert calls == sliced
         expected = reference_enumerate_roots(fan)
-        if radiant:
+        if analysis.bilateral is not None:
             expected = reference_mark_membership(expected, analysis.v)
-        else:
-            assert len(calls) == fan.num_rays
         assert root_fields(roots) == root_fields(expected)
 
 

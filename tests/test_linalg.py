@@ -17,6 +17,7 @@ from unifan.linalg import (
     lattice_points,
     q_independent,
     rational_rank,
+    scaled_inverse,
     smith_normal_form,
     solve_nonneg,
 )
@@ -149,6 +150,43 @@ class TestInvertUnimodular:
         with pytest.raises(NotUnimodular) as info:
             invert_unimodular(((1, 2), (2, 4)))
         assert str(info.value) == "matrix has invariant factors [1, 0]"
+
+
+class TestScaledInverse:
+    """(d, d * b^-1) with |d| = |det b| against sympy, and None on a
+    singular matrix."""
+
+    def check(self, b):
+        det = sympy.Matrix(b).det()
+        got = scaled_inverse(b)
+        if det == 0:
+            assert got is None, b
+            return False
+        d, m = got
+        assert abs(d) == abs(det), b
+        assert is_row_tuple_matrix(m)
+        assert sympy.Matrix(m) * sympy.Matrix(b) == d * sympy.eye(len(b)), b
+        return True
+
+    def test_random_square_matrices(self):
+        rng = random.Random(22)
+        nonsingular = sum(self.check(random_matrix(rng, n, n, 4)) for n in range(1, 6) for _ in range(60))
+        assert 250 < nonsingular < 300
+
+    def test_random_singular_matrices(self):
+        """The last row a combination of the others."""
+        rng = random.Random(23)
+        for n in range(1, 6):
+            for _ in range(30):
+                rows = random_matrix(rng, n - 1, n, 4) if n > 1 else ()
+                coeffs = [rng.randint(-2, 2) for _ in rows]
+                last = tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n))
+                assert not self.check(rows + (last,))
+
+    def test_empty_and_not_square(self):
+        assert scaled_inverse(()) == (1, ())
+        with pytest.raises(ValueError, match="matrix is not square"):
+            scaled_inverse(((1, 0, 0), (0, 1, 0)))
 
 
 def outcome(invert, b):

@@ -11,7 +11,7 @@ import unifan.orbits
 
 from unifan.classgroup import radiant_classes
 from unifan.demazure import compute_precedence
-from unifan.fan import validate_fan
+from unifan.fan import ray_mask, validate_fan
 from unifan.linalg import q_independent, rational_rank
 from unifan.monoid import gamma_of_rayset
 from unifan.orbits import enumerate_basic_subsets, non_free_witness, with_membership
@@ -438,6 +438,26 @@ class TestNonFreeWitness:
             classes, _ = prepared(fan)
             assert non_free_witness(fan, classes) == reference_non_free_witness(fan, classes)
 
+    @pytest.mark.parametrize("spec", sorted(RADIANT_FIXTURES.values()))
+    def test_skips_the_empty_and_the_maximal_cones(self, monkeypatch, spec):
+        """Their complement monoids are always free, so `gamma_of_rayset`
+        never receives all rays or the complement of a maximal cone."""
+        fan = family(spec)
+        classes, _ = prepared(fan)
+        received = []
+
+        def recording(table, rays):
+            rays = list(rays)
+            received.append(ray_mask(rays))
+            return gamma_of_rayset(table, rays)
+
+        monkeypatch.setattr(unifan.orbits, "gamma_of_rayset", recording)
+        witness = non_free_witness(fan, classes)
+        assert witness == reference_non_free_witness(fan, classes)
+        every = (1 << fan.num_rays) - 1
+        free = {every} | {every & ~ray_mask(cone) for cone in fan.max_cones}
+        assert received and not free & set(received)
+
     def test_is_free_once_per_distinct_complement_set(self, monkeypatch):
         fan = p1_power(6)
         classes, _ = prepared(fan)
@@ -486,7 +506,7 @@ class TestNonFreeWitness:
 ANALYZE_WITHOUT_ENUMERATION = """\
 import json, sys, tracemalloc
 import unifan.orbits, unifan.pipeline
-from unifan.fan import validate_fan
+from unifan.fan import ray_mask, validate_fan
 from unifan.pipeline import analyze_fan
 
 
