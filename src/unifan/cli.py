@@ -7,8 +7,8 @@ import json
 import random
 import sys
 from functools import cache
-from itertools import chain, islice, repeat
-from operator import attrgetter
+from itertools import chain, islice
+from operator import mul
 
 from . import __version__
 from .families import InvalidSpec, NotApplicable, build, cross_check, parse_family
@@ -105,16 +105,26 @@ _KIND_TEXT = {True: '"semisimple"', False: '"unipotent"'}
 _FLAG_TEXT = {True: "true", False: "false", None: "null"}
 
 
-def report_json(report: dict, roots=None) -> str:
+def _in_u(e, semisimple, v) -> bool | None:
+    """Whether the root `e` lies in the maximal unipotent subgroup of `v`:
+    unipotent roots always, semisimple ones iff <e, v> > 0. None off radiant
+    fans, where no `v` is chosen."""
+    if v is None:
+        return None
+    return e not in semisimple or sum(map(mul, e, v)) > 0
+
+
+def report_json(report: dict, roots=None, v=None) -> str:
     """The text of `_json_text(report)` with, given `roots`, the report's
-    `roots` object extended by a `list` of one object per `DemazureRoot`
+    `roots` object extended by a `list` of one object per Demazure root
     (`e`, `distinguished_ray`, `kind`, `in_unipotent_group`), as
     `json.dumps(..., indent=2)` would write it after the 2^53 rule.
 
-    The roots are written straight from their records: one format string
-    at the list's fixed indent, with a slot per entry of `e` (every root of
-    a fan has the fan's dimension), so no per-root dict is built. All the
-    chunks of the report go into one flat list that is joined once.
+    `roots` is the pair (slices, semisimple) of `FanAnalysis.root_slices`
+    and `v` the chosen defining vector, None off radiant fans. The roots are
+    written per ray (`_root_list_chunks`), so no record or per-root dict is
+    built. All the chunks of the report go into one flat list that is
+    joined once.
     """
     chunks = ["{"]
     sep = "\n  "
@@ -130,47 +140,55 @@ def report_json(report: dict, roots=None) -> str:
             lead = ","
         if roots is not None:
             chunks += (lead, '\n    "list": ')
-            _root_list_chunks(roots, chunks)
+            _root_list_chunks(*roots, v, chunks)
         chunks.append("\n  }")
     chunks.append("\n}")
     return "".join(chunks)
 
 
-def _root_list_chunks(roots, chunks: list) -> None:
+def _root_list_chunks(slices, semisimple, v, chunks: list) -> None:
     """Append the JSON text of the root list at its fixed indent to `chunks`,
-    one chunk per root, each with the separator before it."""
-    if not roots:
-        chunks.append("[]")
-        return
-    dim = len(roots[0].e)
-    e_text = "[\n" + ",\n".join(["          %s"] * dim) + "\n        ]"
-    template = (
-        '%s{\n        "e": ' + e_text + ',\n        "distinguished_ray": %s,'
-        '\n        "kind": %s,\n        "in_unipotent_group": %s\n      }'
-    )
-    seps = chain(["[\n      "], repeat(",\n      "))
-    ints = chain(
-        chain.from_iterable(map(attrgetter("e"), roots)),
-        map(attrgetter("distinguished_ray"), roots),
-    )
-    if max(map(abs, ints)) <= _JSON_SAFE:
-        chunks += [
-            template % (sep, *r.e, r.distinguished_ray, _KIND_TEXT[r.semisimple], _FLAG_TEXT[r.in_u])
-            for sep, r in zip(seps, roots)
-        ]
-    else:  # some integer is written as a string
-        chunks += [
-            template
-            % (
-                sep,
-                *map(_json_text, r.e),
-                _json_text(r.distinguished_ray),
-                _KIND_TEXT[r.semisimple],
-                _FLAG_TEXT[r.in_u],
-            )
-            for sep, r in zip(seps, roots)
-        ]
-    chunks.append("\n    ]")
+    one chunk per root, each with the separator before it.
+
+    A ray's roots are written with one format string per (kind, flag), in
+    which the ray, the kind and the flag are fixed, filled with the bare `e`
+    tuple (every root of a fan has the fan's dimension). A root is unipotent
+    and in U unless its `e` is semisimple; then it is in U iff <e, v> > 0.
+    Off radiant fans (`v` is None) every flag is null. A ray index is a list
+    position, so only the entries of `e` can pass 2^53 - 1.
+    """
+    first = len(chunks)
+    chunks.append("[")
+    big = max(map(abs, chain.from_iterable(chain.from_iterable(slices))), default=0) > _JSON_SAFE
+    for rho, found in enumerate(slices):
+        if not found:
+            continue
+        head = (
+            ',\n      {\n        "e": [\n'
+            + ",\n".join(["          %s"] * len(found[0]))
+            + '\n        ],\n        "distinguished_ray": '
+            + str(rho)
+            + ',\n        "kind": '
+        )
+        templates = {
+            (kind, flag): head + _KIND_TEXT[kind] + ',\n        "in_unipotent_group": '
+            + _FLAG_TEXT[flag] + "\n      }"
+            for kind in (False, True)
+            for flag in (True, False, None)
+        }
+        values = [tuple(map(_json_text, e)) for e in found] if big else found
+        if semisimple.isdisjoint(found):
+            chunks += map(templates[False, None if v is None else True].__mod__, values)
+        else:
+            chunks += [
+                templates[e in semisimple, _in_u(e, semisimple, v)] % value
+                for e, value in zip(found, values)
+            ]
+    if len(chunks) == first + 1:
+        chunks[first] = "[]"
+    else:
+        chunks[first + 1] = chunks[first + 1][1:]  # no comma before the first root
+        chunks.append("\n    ]")
 
 
 def _verdict_payload(verdict) -> dict:
@@ -221,14 +239,14 @@ def _stratum_zeros(num_rays: int, basic, rng) -> int:
     return zeros
 
 
-def _monomial_rays(fan: Fan, root) -> int:
-    """The mask of the coordinates a root's monomial reads: the rays other
-    than the distinguished one that pair positively with its character."""
+def _monomial_rays(fan: Fan, rho: int, e) -> int:
+    """The mask of the coordinates the monomial of the root `e` at ray `rho`
+    reads: the rays other than `rho` that pair positively with `e`."""
     reads = 0
     for ray, vector in enumerate(fan.rays):
-        if ray == root.distinguished_ray:
+        if ray == rho:
             continue
-        exponent = sum(a * b for a, b in zip(root.e, vector))
+        exponent = sum(a * b for a, b in zip(e, vector))
         if exponent < 0:
             raise ValueError("root pairs negatively with a non-distinguished ray")
         if exponent:
@@ -276,20 +294,46 @@ def _oracle_check(analysis: FanAnalysis, seed: int, trials: int = 30) -> dict:
     else:
         draws = random_basic_subsets(analysis.classes, analysis.precedence, rng)
     fan = analysis.fan
-    in_u_roots = [r for r in analysis.roots if r.in_u]
+    slices, semisimple = analysis.root_slices
+    in_u_roots = [
+        (rho, e)
+        for rho, found in enumerate(slices)
+        for e in found
+        if _in_u(e, semisimple, analysis.v)
+    ]
     failures = 0
     for basic in islice(draws, trials):
         zeros = _stratum_zeros(fan.num_rays, basic, rng)
         frozen = basic.rays_mask | basic.hat_mask
-        candidates = [r for r in in_u_roots if frozen >> r.distinguished_ray & 1]
+        candidates = [root for root in in_u_roots if frozen >> root[0] & 1]
         if candidates:
-            root = rng.choice(candidates)
+            rho, e = rng.choice(candidates)
             _nonzero_draw(rng)
-            if not zeros & _monomial_rays(fan, root):
+            if not zeros & _monomial_rays(fan, rho, e):
                 failures += 1
         for _ in range(analysis.classes.k):
             _nonzero_draw(rng)
     return {"seed": seed, "trials": trials, "failures": failures}
+
+
+def _root_counts(analysis: FanAnalysis) -> dict:
+    """The report's root counts, read off `analysis.root_slices`. A root
+    pairs to -1 with exactly one ray, so it lies in exactly one slice, and
+    the semisimple set holds each semisimple root once. Every unipotent root
+    is in U, and a semisimple one is when it pairs positively with `v`; the
+    in-U count is None off radiant fans."""
+    slices, semisimple = analysis.root_slices
+    total = sum(map(len, slices))
+    unipotent = total - len(semisimple)
+    in_u = None
+    if analysis.bilateral is not None:
+        in_u = unipotent + sum(1 for e in semisimple if _in_u(e, semisimple, analysis.v))
+    return {
+        "total": total,
+        "semisimple": len(semisimple),
+        "unipotent": unipotent,
+        "in_unipotent_group": in_u,
+    }
 
 
 def build_report(analysis: FanAnalysis, include_orbits, check, seed):
@@ -309,14 +353,7 @@ def build_report(analysis: FanAnalysis, include_orbits, check, seed):
         },
         "bilateral": None,
         "classes": None,
-        "roots": {
-            "total": len(analysis.roots),
-            "semisimple": sum(1 for r in analysis.roots if r.semisimple),
-            "unipotent": sum(1 for r in analysis.roots if not r.semisimple),
-            "in_unipotent_group": sum(1 for r in analysis.roots if r.in_u)
-            if analysis.bilateral is not None
-            else None,
-        },
+        "roots": _root_counts(analysis),
         "v": None,
         "precedence": None,
         "verdict": _verdict_payload(analysis.verdict),
@@ -464,7 +501,7 @@ def cmd_analyze(args) -> int:
     except InvariantViolation as exc:
         return _emit_error(exc)
     if args.format == "json":
-        print(report_json(report, analysis.roots if args.roots else None))
+        print(report_json(report, analysis.root_slices if args.roots else None, analysis.v))
     else:
         sys.stdout.write(render_text(report))
     return 0

@@ -33,21 +33,22 @@ class DemazureRoot:
         return "semisimple" if self.semisimple else "unipotent"
 
 
-def enumerate_roots(
+def root_slices(
     fan: Fan,
     bilateral: BilateralStructure | None = None,
     classes: ClassTable | None = None,
-) -> list[DemazureRoot]:
-    """All Demazure roots of a complete fan, sorted by (ray, e).
+) -> tuple[list[list[IntVec]], frozenset[IntVec]]:
+    """Each ray's Demazure roots, sorted, and the set of semisimple ones.
 
     Given the bilateral structure and class table of a radiant fan, each
-    ray's roots are read off the class table (`_class_table_slices`) and a
-    root is semisimple iff it is one of the equal-class pair vectors of
-    `semisimple_roots`. Otherwise each ray's roots are the bounded lattice
-    slice pairing to -1 with that ray and nonnegatively with all others: []
-    when `_certified_empty` proves the slice empty, else from the projection
-    chain of `lattice_points` (in lex order). A root is semisimple iff its
-    negative is a root too.
+    ray's roots are read off the class table (`_class_table_slices`) and the
+    semisimple roots are the equal-class pair vectors of `semisimple_roots`.
+    Otherwise each ray's roots are the bounded lattice slice pairing to -1
+    with that ray and nonnegatively with all others: [] when
+    `_certified_empty` proves the slice empty, else from the projection
+    chain of `lattice_points` (in lex order), and a root is semisimple iff
+    its negative is a root too. A root pairs to -1 with exactly one ray, so
+    it lies in exactly one slice.
     """
     if bilateral is None or classes is None:
         empty = _certified_empty(fan)
@@ -56,15 +57,29 @@ def enumerate_roots(
             for rho in range(fan.num_rays)
         ]
         all_e = {e for found in slices for e in found}
-        semisimple = {e for e in all_e if tuple([-x for x in e]) in all_e}
+        semisimple = frozenset(e for e in all_e if tuple([-x for x in e]) in all_e)
     else:
         slices = _class_table_slices(bilateral, classes)
-        semisimple = set(semisimple_roots(fan, bilateral, classes))
+        semisimple = frozenset(semisimple_roots(fan, bilateral, classes))
+    return slices, semisimple
+
+
+def root_records(slices, semisimple) -> list[DemazureRoot]:
+    """One unflagged record per root of `root_slices`, sorted by (ray, e)."""
     return [
         DemazureRoot(e, rho, e in semisimple)
         for rho, found in enumerate(slices)
         for e in found
     ]
+
+
+def enumerate_roots(
+    fan: Fan,
+    bilateral: BilateralStructure | None = None,
+    classes: ClassTable | None = None,
+) -> list[DemazureRoot]:
+    """All Demazure roots of a complete fan as records, sorted by (ray, e)."""
+    return root_records(*root_slices(fan, bilateral, classes))
 
 
 def _slice_system(fan: Fan, rho: int) -> LinearSystem:

@@ -79,12 +79,23 @@ def irreducibles(monoid: ClassMonoid) -> list[IntVec]:
 def is_free(monoid: ClassMonoid) -> bool:
     """True iff the irreducible elements are Q-linearly independent.
 
-    Certificate first: when the generators include all k unit vectors, the
-    monoid is N^k and free, and no irreducible is computed. Proof: every
-    nonnegative vector is a sum of units, so the irreducibles are exactly
-    the k units, which are independent.
+    Certificates first, so that no irreducible is computed:
+    - When the generators include all k unit vectors, the monoid is N^k and
+      free. Proof: every nonnegative vector is a sum of units, so the
+      irreducibles are exactly the k units, which are independent.
+    - When k = 1, the monoid is free iff its least generator g divides every
+      other generator. Proof: g is irreducible, as a sum of two or more
+      generators is at least 2g. If g divides every generator, each other
+      generator is a sum of copies of g, so g is the only irreducible, and a
+      nonzero vector is independent. Otherwise, let h be the least generator
+      that g does not divide. Every generator below h is a multiple of g, so
+      h is no sum of them, and h is irreducible too. Two irreducibles in Q^1
+      are dependent.
     """
     gens = monoid.generators
-    if gens and sum(1 for g in gens if sum(g) == 1) == len(gens[0]):
+    if not gens or sum(1 for g in gens if sum(g) == 1) == len(gens[0]):
         return True
+    if len(gens[0]) == 1:
+        least = gens[0][0]
+        return all(g % least == 0 for (g,) in gens)
     return q_independent(irreducibles(monoid))

@@ -11,8 +11,9 @@ from .demazure import (
     DemazureRoot,
     choose_v,
     compute_precedence,
-    enumerate_roots,
     mark_membership,
+    root_records,
+    root_slices,
     semisimple_roots,
 )
 from .fan import Fan
@@ -33,12 +34,18 @@ class FanAnalysis:
     catalog: list[OrbitRecord] | None
 
     @cached_property
+    def root_slices(self) -> tuple[list[list[IntVec]], frozenset[IntVec]]:
+        """Each ray's Demazure roots, sorted, and the set of semisimple ones,
+        found on first read: from the class table on a radiant fan, from the
+        projection chain on any other (see `demazure.root_slices`)."""
+        return root_slices(self.fan, self.bilateral, self.classes)
+
+    @cached_property
     def roots(self) -> list[DemazureRoot]:
-        """Every Demazure root in (ray, e) order, built on first read. On a
-        radiant fan the records are read off the class table and each
-        carries its `in_u` flag for the chosen `v`; on any other fan they
-        come from the projection chain and `in_u` stays None."""
-        roots = enumerate_roots(self.fan, self.bilateral, self.classes)
+        """Every Demazure root in (ray, e) order, built on first read from
+        `root_slices`. On a radiant fan each record carries its `in_u` flag
+        for the chosen `v`; on any other fan `in_u` stays None."""
+        roots = root_records(*self.root_slices)
         if self.v is not None:
             mark_membership(roots, self.v)
         return roots
@@ -51,7 +58,8 @@ def analyze_fan(fan: Fan, bilateral: BilateralStructure | None = None) -> FanAna
     other than the first one found; the verdict must not depend on it.
     Each stage fills its own fields; those of stages that never ran stay None.
     The semisimple roots that fix `v` are the equal-class ray pairs, so no
-    root record is built here: `roots` is enumerated when first read.
+    root is enumerated here: `root_slices` and `roots` are found when first
+    read.
     """
     class_info = class_group(fan)
     if bilateral is None:

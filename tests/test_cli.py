@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import resource
@@ -8,10 +9,14 @@ import sys
 import pytest
 
 import unifan
-from unifan.cli import main, make_parser
+import unifan.demazure
+from unifan.cli import fan_file_payload, main, make_parser
 from unifan.fan import validate_fan
 from unifan.orbits import enumerate_basic_subsets
 from unifan.radiance import BilateralStructure
+
+from conftest import RADIANT_FIXTURES, del_pezzo6
+from test_demazure import forbidden
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -342,6 +347,38 @@ class TestDeterminism:
         assert report["oracle"]["failures"] == 0
         assert report["oracle"]["trials"] > 0
         assert report["cross_check"]["agree"] is True
+
+
+class TestNoRootRecords:
+    """The CLI reads the per-ray root slices: on no flag combination does it
+    build a `DemazureRoot` record, enumerate records or flag them. With
+    those names failing wherever a module of the package holds them, every
+    report is byte-identical to the unpatched one."""
+
+    @pytest.mark.parametrize("source", sorted(RADIANT_FIXTURES.values()) + ["dP6"])
+    def test_reports_without_records(self, capsys, monkeypatch, tmp_path, source):
+        if source == "dP6":
+            path = tmp_path / "dp6.json"
+            path.write_text(json.dumps(fan_file_payload(del_pezzo6())))
+            fan_args = [str(path)]
+        else:
+            fan_args = ["--family", source]
+        flags = ["--roots", "--orbits", "--check"]
+        runs = [
+            ["analyze", *fan_args, "--format", fmt, *itertools.compress(flags, picked)]
+            for fmt in ("json", "text")
+            for picked in itertools.product([True, False], repeat=3)
+        ]
+        expected = [run(capsys, *argv) for argv in runs]
+        package = [m for n, m in sys.modules.items() if n == "unifan" or n.startswith("unifan.")]
+        for name in ("DemazureRoot", "enumerate_roots", "mark_membership"):
+            original = getattr(unifan.demazure, name)
+            for module in package:
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, forbidden(name))
+        assert [run(capsys, *argv) for argv in runs] == expected
+        assert expected[0][0] == 0 and '"list": [' in expected[0][1]
 
 
 class TestGoldenReports:

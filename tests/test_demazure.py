@@ -6,6 +6,7 @@ import pytest
 import unifan.demazure
 import unifan.pipeline
 from unifan.classgroup import ClassTable, radiant_classes
+from unifan.cli import _root_counts
 from unifan.demazure import (
     _certified_empty,
     _slice_system,
@@ -155,6 +156,21 @@ def root_fields(roots):
     return [(r.e, r.distinguished_ray, r.semisimple, r.in_u) for r in roots]
 
 
+def assert_counts_from_slices(fan) -> None:
+    """The report's four root counts, read off the slices, equal the counts
+    over the analysis's root records, as the report once took them."""
+    analysis = analyze_fan(fan)
+    roots = analysis.roots
+    assert _root_counts(analysis) == {
+        "total": len(roots),
+        "semisimple": sum(1 for r in roots if r.semisimple),
+        "unipotent": sum(1 for r in roots if not r.semisimple),
+        "in_unipotent_group": sum(1 for r in roots if r.in_u)
+        if analysis.bilateral is not None
+        else None,
+    }
+
+
 PRODUCTS = {
     "P1^3": lambda: p1_power(3),
     "P2xP1": lambda: product_of(family("pn:2"), family("pn:1")),
@@ -166,12 +182,14 @@ PRODUCTS = {
 class TestRootRecordsAgainstReference:
     """Records built once in enumeration order and flagged in place equal
     the sorted frozen records the reference rebuilds, from the projection
-    chain on every fan and from the class table on a radiant one."""
+    chain on every fan and from the class table on a radiant one; the
+    report's counts read off the slices equal the counts over the records."""
 
     @staticmethod
     def assert_same(fan) -> bool:
         expected = reference_enumerate_roots(fan)
         assert root_fields(enumerate_roots(fan)) == root_fields(expected)
+        assert_counts_from_slices(fan)
         bilateral = find_bilateral(fan)
         if bilateral is None:
             return False
@@ -205,7 +223,8 @@ class TestRootRecordsAgainstReference:
 class TestCertifiedEmptySlices:
     """The Farkas certificate of empty slices against the projection chain
     it short-cuts: on every non-radiant corpus the roots equal the
-    reference's, and every certified slice is rationally infeasible."""
+    reference's, the report's counts read off the slices equal the counts
+    over the records, and every certified slice is rationally infeasible."""
 
     # corpus -> (fans, slices certified empty, empty slices not certified)
     COUNTS = {
@@ -224,6 +243,7 @@ class TestCertifiedEmptySlices:
         for fan in fans:
             expected = reference_enumerate_roots(fan)
             assert root_fields(enumerate_roots(fan)) == root_fields(expected)
+            assert_counts_from_slices(fan)
             holding = {r.distinguished_ray for r in expected}
             empty = _certified_empty(fan)
             for rho in range(fan.num_rays):
@@ -331,15 +351,16 @@ def forbidden(name):
 
 
 class TestRootsOnDemand:
-    """`analyze_fan` builds no root record; `analysis.roots` is enumerated
-    and flagged on first read, equal to the eager records of the reference."""
+    """`analyze_fan` enumerates no root; `analysis.root_slices` is found,
+    and `analysis.roots` built from it and flagged, on first read, equal to
+    the eager records of the reference."""
 
     @pytest.mark.parametrize(
         "fan", [family("hirzebruch:2"), del_pezzo6()], ids=["F2", "dP6"]
     )
     def test_first_read_builds_the_records(self, fan, monkeypatch):
         with monkeypatch.context() as patch:
-            for name in ("enumerate_roots", "mark_membership"):
+            for name in ("root_slices", "root_records", "mark_membership"):
                 for module in (unifan.demazure, unifan.pipeline):
                     patch.setattr(module, name, forbidden(name))
             analysis = analyze_fan(fan)

@@ -6,7 +6,7 @@ import pytest
 
 from unifan.classgroup import radiant_classes
 from unifan.linalg import DegenerateGenerator, q_independent
-from unifan.monoid import contains, gamma_of_rayset, in_span, irreducibles, is_free
+from unifan.monoid import ClassMonoid, contains, gamma_of_rayset, in_span, irreducibles, is_free
 from unifan.orbits import non_free_witness
 from unifan.radiance import find_bilateral
 
@@ -192,13 +192,25 @@ class TestIsFree:
         assert is_free(gamma_of_rayset(table_of(f2), []))
 
 
+def forbidden_irreducibles(monoid):
+    raise AssertionError(f"irreducibles of {monoid.generators} computed")
+
+
 def reference_is_free(monoid) -> bool:
     """True iff the irreducible elements are Q-linearly independent."""
     return q_independent(irreducibles(monoid))
 
 
+def previous_is_free(monoid) -> bool:
+    """The body of `is_free` before the rank-one certificate, verbatim."""
+    gens = monoid.generators
+    if gens and sum(1 for g in gens if sum(g) == 1) == len(gens[0]):
+        return True
+    return q_independent(irreducibles(monoid))
+
+
 class TestIsFreeAgainstReference:
-    """The all-units certificate against the irreducibles it skips."""
+    """The certificates against the irreducibles they skip."""
 
     @pytest.mark.parametrize("name", sorted(CERTIFICATE_CORPORA))
     def test_complement_monoids(self, name):
@@ -207,6 +219,35 @@ class TestIsFreeAgainstReference:
         for fan in radiant:
             for monoid in complement_monoids(fan):
                 assert is_free(monoid) == reference_is_free(monoid), monoid.generators
+
+    def test_rank_one_certificate(self):
+        """On every class-table corpus, each rank-one monoid is decided by
+        divisibility, without irreducibles, as the previous body decides it;
+        both answers occur."""
+        outcomes = {True: 0, False: 0}
+        for name in sorted(CERTIFICATE_CORPORA):
+            for fan in CERTIFICATE_CORPORA[name]():
+                if find_bilateral(fan) is None or fan.num_rays != fan.dim + 1:
+                    continue
+                for monoid in complement_monoids(fan):
+                    if monoid.generators:
+                        expected = previous_is_free(monoid)
+                        with pytest.MonkeyPatch.context() as patch:
+                            patch.setattr("unifan.monoid.irreducibles", forbidden_irreducibles)
+                            assert is_free(monoid) == expected, monoid.generators
+                        outcomes[expected] += 1
+        assert min(outcomes.values()) >= 5, outcomes
+
+    def test_rank_one_by_hand(self, monkeypatch):
+        monkeypatch.setattr("unifan.monoid.irreducibles", forbidden_irreducibles)
+        for gens, free in [
+            ([(1,)], True),
+            ([(2,), (3,)], False),
+            ([(2,), (4,), (8,)], True),
+            ([(3,), (6,), (9,), (10,)], False),
+            ([(4,), (6,)], False),
+        ]:
+            assert is_free(ClassMonoid(tuple(gens))) is free, gens
 
     @pytest.mark.parametrize("spec", sorted(RADIANT_FIXTURES.values()))
     def test_empty_cone_needs_no_irreducibles(self, monkeypatch, spec):

@@ -352,6 +352,7 @@ class TestOracleAgainstReference:
         # Rays (1, 0), (0, 1), (-1, -1): e pairs to -1 with rays 0 and 1.
         bad = DemazureRoot(e=(-1, -1), distinguished_ray=0, semisimple=False, in_u=True)
         monkeypatch.setitem(vars(analysis), "roots", [bad])
+        monkeypatch.setitem(vars(analysis), "root_slices", ([[bad.e], [], []], frozenset()))
         for check in (_oracle_check, reference_oracle_check, descent_reference_oracle_check):
             with pytest.raises(ValueError, match="pairs negatively with a non-distinguished ray"):
                 check(analysis, 0)
@@ -380,7 +381,7 @@ class TestZeroMasksInLockstep:
                     for root in in_u:
                         _nonzero_draw(fast)
                         moved = apply_root(point, root, random_rational(slow, nonzero=True))
-                        moves = zeros & _monomial_rays(fan, root) == 0
+                        moves = zeros & _monomial_rays(fan, root.distinguished_ray, root.e) == 0
                         assert moves == (moved.coords != point.coords)
                         assert not (moves and frozen >> root.distinguished_ray & 1)
                         outcomes[moves] += 1

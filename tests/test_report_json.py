@@ -9,11 +9,10 @@ from collections import OrderedDict, namedtuple
 import pytest
 
 from unifan.cli import _json_text, build_report, report_json
-from unifan.demazure import DemazureRoot
 from unifan.pipeline import analyze_fan
 
 from conftest import FAMILY_SPECS, RADIANT_FIXTURES, family, random_surfaces
-from test_demazure import PRODUCTS
+from test_demazure import PRODUCTS, ReferenceRoot, reference_mark_membership
 from test_projection_chain import ROOTS_WORKLOAD
 
 _JSON_SAFE = 2**53 - 1
@@ -98,7 +97,7 @@ def with_root_list(report: dict, roots) -> dict:
         {
             "e": list(r.e),
             "distinguished_ray": r.distinguished_ray,
-            "kind": r.kind,
+            "kind": "semisimple" if r.semisimple else "unipotent",
             "in_unipotent_group": r.in_u,
         }
         for r in roots
@@ -106,8 +105,11 @@ def with_root_list(report: dict, roots) -> dict:
     return report
 
 
-def assert_writer_matches(report: dict, roots) -> None:
-    assert report_json(report, roots) == reference_text(with_root_list(report, roots))
+def assert_writer_matches(report: dict, analysis) -> None:
+    """The writer fed the analysis's slices against `json.dumps` of one
+    dict per root record of `analysis.roots`."""
+    expected = reference_text(with_root_list(report, analysis.roots))
+    assert report_json(report, analysis.root_slices, analysis.v) == expected
 
 
 def is_plain_tree(value) -> bool:
@@ -125,7 +127,8 @@ def test_fixture_reports(spec):
         report = build_report(analysis, orbits, check, seed=5)
         assert is_plain_tree(report) and "list" not in report["roots"]
         assert report_json(report) == _json_text(report) == reference_text(report)
-        assert_writer_matches(report, analysis.roots if roots else None)
+        if roots:
+            assert_writer_matches(report, analysis)
 
 
 def assert_corpus(fans) -> int:
@@ -134,15 +137,15 @@ def assert_corpus(fans) -> int:
     written = 0
     for fan in fans:
         analysis = analyze_fan(fan)
-        assert_writer_matches(build_report(analysis, False, False, seed=0), analysis.roots)
+        assert_writer_matches(build_report(analysis, False, False, seed=0), analysis)
         written += len(analysis.roots)
     return written
 
 
 class TestRootListAgainstReference:
-    """`report_json` writes the root list from the records; the reference
-    is `json.dumps` of the report with one dict per root. The radiant
-    fixtures are covered by `test_fixture_reports`."""
+    """`report_json` writes the root list from the per-ray slices; the
+    reference is `json.dumps` of the report with one dict per root record.
+    The radiant fixtures are covered by `test_fixture_reports`."""
 
     def test_family_specs(self):
         assert assert_corpus(family(spec) for spec in FAMILY_SPECS) > 0
@@ -161,31 +164,54 @@ class TestRootListAgainstReference:
         assert assert_corpus([family(spec)]) > 500
 
 
+# name -> (slices, semisimple set, v or None off radiant fans)
 HAND_MADE_ROOTS = {
-    "empty": [],
-    "flags": [
-        DemazureRoot((1, 0), 0, True, True),
-        DemazureRoot((-1, 0), 2, True, False),
-        DemazureRoot((0, -1), 1, False, None),
-    ],
-    "safe-edge": [
-        DemazureRoot((_JSON_SAFE, -_JSON_SAFE), 3, False, True),
-        DemazureRoot((0, 1), 0, True, None),
-    ],
-    "past-2^53": [
-        DemazureRoot((2**53, -(2**53)), 1, False, True),
-        DemazureRoot((0, -1), 4, True, False),
-    ],
-    "big-ray": [DemazureRoot((1, -1), 2**53 + 1, False, None)],
-    "safe-ray": [DemazureRoot((1, -1), _JSON_SAFE, True, True)],
-    "one-dimensional": [DemazureRoot((-1,), 0, True, True), DemazureRoot((1,), 1, True, False)],
+    "empty": ([], frozenset(), None),
+    "empty-slices": ([[], [], []], frozenset(), (1, 2)),
+    "safe-edge": (
+        [[(-_JSON_SAFE, 0)], [], [(_JSON_SAFE, -_JSON_SAFE), (_JSON_SAFE, 1)]],
+        frozenset({(-_JSON_SAFE, 0), (_JSON_SAFE, 1)}),
+        (-1, 0),
+    ),
+    "past-2^53": (
+        [[(0, -1), (2**53, -(2**53))], [(1, 2**60)], [(-(2**53), 1)]],
+        frozenset({(0, -1), (-(2**53), 1)}),
+        (1, -1),
+    ),
+    "one-dimensional": ([[(-1,)], [(1,)]], frozenset({(-1,), (1,)}), (-1,)),
+    "flags": (
+        [[(1, 0)], [(-1, 0), (0, -1), (2, -1)], [(0, 1), (1, -1)]],
+        frozenset({(1, 0), (-1, 0), (0, 1)}),
+        (1, -3),
+    ),
+    "null-flags": (
+        [[(1, 0)], [(-1, 0), (0, -1), (2, -1)], [(0, 1), (1, -1)]],
+        frozenset({(1, 0), (-1, 0), (0, 1)}),
+        None,
+    ),
 }
+
+
+def reference_records(slices, semisimple, v):
+    """One record per root in (ray, e) order, flagged by the reference rule
+    when `v` is given, as `FanAnalysis.roots` builds them."""
+    records = [
+        ReferenceRoot(e=e, distinguished_ray=rho, semisimple=e in semisimple)
+        for rho, found in enumerate(slices)
+        for e in found
+    ]
+    return records if v is None else reference_mark_membership(records, v)
 
 
 @pytest.mark.parametrize("name", sorted(HAND_MADE_ROOTS))
 def test_hand_made_roots(name):
+    slices, semisimple, v = HAND_MADE_ROOTS[name]
+    records = reference_records(slices, semisimple, v)
+    if name == "flags":
+        assert {(r.semisimple, r.in_u) for r in records} == {(True, True), (True, False), (False, True)}
     report = build_report(analyze_fan(family("wps:1,1,2")), False, True, seed=0)
-    assert_writer_matches(report, HAND_MADE_ROOTS[name])
+    expected = reference_text(with_root_list(report, records))
+    assert report_json(report, (slices, semisimple), v) == expected
 
 
 def test_random_trees():
