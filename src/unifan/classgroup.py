@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fan import Fan
-from .linalg import IntVec, InvariantViolation, int_det, smith_normal_form
+from .linalg import IntVec, InvariantViolation, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,12 @@ def class_group(fan: Fan) -> ClassGroupInfo:
     determinant of +-1, the group is free of rank num_rays - dim and no
     Smith form is computed. Proof: the invariant factors multiply to the gcd
     of the maximal minors (Newman, *Integral Matrices*, 1972), and a minor
-    of +-1 makes that gcd 1, so all `dim` factors are 1.
+    of +-1 makes that gcd 1, so all `dim` factors are 1. The determinant is
+    the d of `fan.cone_inverse(0)`, which the completeness certificate and
+    the bilateral search read too, so the cone is eliminated once per fan.
     """
     first = fan.max_cones[0] if fan.max_cones else ()
-    if len(first) == fan.dim and abs(int_det([fan.rays[i] for i in first])) == 1:
+    if len(first) == fan.dim and fan.cone_inverse(0)[0] in (1, -1):
         return ClassGroupInfo(free_rank=fan.num_rays - fan.dim, torsion_invariants=())
     factors = smith_normal_form(fan.rays)
     return ClassGroupInfo(

@@ -4,12 +4,12 @@ and the precedence order on rays."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, repeat
 from operator import add, sub
 
 from .classgroup import ClassTable
 from .fan import Fan
-from .linalg import IntVec, InvariantViolation, LinearSystem, lattice_points, scaled_inverse
+from .linalg import IntVec, InvariantViolation, LinearSystem, lattice_points
 from .radiance import BilateralStructure
 
 
@@ -101,8 +101,9 @@ def _certified_empty(fan: Fan) -> int:
     other u, then a_rho rho = r + sum_u (-a_u) u, so an e with <e, rho> = -1
     pairs negatively with r or with another u: the slice at rho is empty.
     With b the matrix of sigma's rays as columns and (d, M = d b^-1) from
-    `scaled_inverse`, a = M r / d has the signs of d * M r, so sigma need
-    not be a lattice basis. The certificate is
+    `fan.cone_inverse`, a = M r / d has the signs of d * M r, so sigma need
+    not be a lattice basis. The bilateral search reads the same memo, so a
+    cone it already inverted is not eliminated again. The certificate is
     sufficient, not complete: an uncertified slice may still be empty.
     Cones whose rays are all certified are skipped, and the scan stops once
     every ray is.
@@ -110,14 +111,14 @@ def _certified_empty(fan: Fan) -> int:
     n = fan.dim
     full = (1 << fan.num_rays) - 1
     empty = 0
-    for cone in fan.max_cones:
+    for i, cone in enumerate(fan.max_cones):
         if empty == full:
             break
         sigma = cone.ray_indices
         if len(sigma) != n or all(empty >> u & 1 for u in sigma):
             continue
         # sigma is simplicial and full-dimensional, so b is nonsingular
-        d, m = scaled_inverse(tuple(zip(*(fan.rays[u] for u in sigma))))
+        d, m = fan.cone_inverse(i)
         for r, vector in enumerate(fan.rays):
             if r not in sigma:
                 positive = [u for u, row in zip(sigma, m) if d * _dot(row, vector) > 0]
@@ -162,10 +163,12 @@ def _class_table_slices(
             c, d = cls[i], dual[i]
             top = min(budget[t] // c[t] for t in support[i])
             if level == len(others) - 1:
-                found.append(e)
-                for _ in range(top):
-                    e = tuple(map(add, e, d))
-                    found.append(e)
+                # e, e + d, ..., e + top*d, built one coordinate column at a time
+                columns = (
+                    range(x, x + (top + 1) * y, y) if y else repeat(x, top + 1)
+                    for x, y in zip(e, d)
+                )
+                found.extend(zip(*columns))
                 return
             for _ in range(top + 1):
                 walk(level + 1, budget, e)

@@ -7,8 +7,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import gcd
+from operator import mul
 
-from .linalg import IntVec, LinearSystem, feasible, int_det, rational_rank
+from .linalg import IntMat, IntVec, LinearSystem, feasible, int_det, rational_rank, scaled_inverse
 
 
 class FanError(Exception):
@@ -86,6 +87,22 @@ class Fan:
                 by_size[size].update(combinations(cone.ray_indices, size))
         return {ray_mask(f): Cone(f) for faces in by_size for f in sorted(faces)}
 
+    @cached_property
+    def _cone_inverses(self) -> dict[int, tuple[int, IntMat] | None]:
+        return {}
+
+    def cone_inverse(self, i: int) -> tuple[int, IntMat] | None:
+        """`scaled_inverse` of the matrix whose columns are the rays of
+        maximal cone i, which must have `dim` rays: (d, d*b^-1) with
+        d = +-det b, or None when the rays are dependent. Found on first read
+        and kept, outside the fields, so each cone is eliminated at most once
+        per `Fan`."""
+        inverses = self._cone_inverses
+        if i not in inverses:
+            cone = self.max_cones[i].ray_indices
+            inverses[i] = scaled_inverse(tuple(zip(*(self.rays[u] for u in cone))))
+        return inverses[i]
+
     @property
     def num_rays(self) -> int:
         return len(self.rays)
@@ -123,7 +140,10 @@ def validate_fan(dim, rays, max_cones, require_complete: bool = False) -> Fan:
 
     Checks ray primitivity and distinctness, simpliciality of every cone,
     and that no ray is unused, then asks `is_complete` once (integer
-    determinants, no LP, linear in the number of cones). A true answer
+    determinants, no LP, linear in the number of cones). A cone with `dim`
+    rays is simplicial iff its determinant is nonzero; that determinant is
+    kept and handed to `is_complete`, so no maximal cone is eliminated
+    twice. A narrower cone is checked by its rank. A true answer
     proves the cones form a complete fan. Only on a false one is every pair
     of maximal cones checked to meet in a common face (one exact rational
     LP per pair), so the error raised names the first offending pair; a fan
@@ -156,6 +176,7 @@ def validate_fan(dim, rays, max_cones, require_complete: bool = False) -> Fan:
         seen[vec] = i
 
     cones = []
+    dets = {}  # determinant of each listed cone with `dim` rays, by its indices
     for raw in max_cones:
         if not all(_is_int(i) for i in raw):
             raise ValueError(f"cone {tuple(raw)} has a non-integer ray index")
@@ -164,7 +185,13 @@ def validate_fan(dim, rays, max_cones, require_complete: bool = False) -> Fan:
             raise ValueError(f"repeated ray index in cone {tuple(raw)}")
         if any(i < 0 or i >= len(ray_vecs) for i in idx):
             raise ValueError(f"ray index out of range in cone {idx}")
-        if rational_rank([ray_vecs[i] for i in idx]) != len(idx):
+        rows = [ray_vecs[i] for i in idx]
+        if len(idx) == dim:
+            dets[idx] = int_det(rows)
+            independent = dets[idx] != 0
+        else:
+            independent = rational_rank(rows) == len(idx)
+        if not independent:
             raise NonSimplicialCone(
                 f"rays {idx} are linearly dependent; cone is not simplicial"
             )
@@ -191,7 +218,7 @@ def validate_fan(dim, rays, max_cones, require_complete: bool = False) -> Fan:
         raise FanConditionViolated(f"rays {missing} belong to no maximal cone")
 
     fan = Fan(dim=dim, rays=tuple(ray_vecs), max_cones=tuple(maximal))
-    if not is_complete(fan):
+    if not is_complete(fan, [dets.get(c.ray_indices) for c in maximal]):
         for c1, c2 in combinations(maximal, 2):
             if not _pairwise_intersection_ok(dim, ray_vecs, c1, c2):
                 raise FanConditionViolated(
@@ -202,7 +229,7 @@ def validate_fan(dim, rays, max_cones, require_complete: bool = False) -> Fan:
     return fan
 
 
-def is_complete(fan: Fan) -> bool:
+def is_complete(fan: Fan, dets=None) -> bool:
     """Whether the fan covers the ambient space, by an integer certificate
     that its simplicial cones form a complete fan.
 
@@ -215,12 +242,20 @@ def is_complete(fan: Fan) -> bool:
         its hyperplane: det(R, a) and det(R, b), with the same row order
         of R, are nonzero of opposite signs;
     (c) q = the sum of the rays of maximal[0], interior to that cone, lies
-        in no other cone (Cramer signs), so the covering degree is 1. The
-        Cramer coefficients at the rays outside maximal[0] are evaluated
-        first. `all` runs over the same positions in any order, so the
-        answer is unchanged. On a cone that shares a ridge with maximal[0],
-        the coefficient at its one outside ray is negative by (b), so a
-        single determinant settles that cone.
+        in no other cone tau, so the covering degree is 1. Three exact tests
+        settle tau, cheapest first:
+        1. tau shares a ridge R with maximal[0]. By (a) these are the two
+           cones of R, so by (b) tau lies in the closed half-space of R's
+           hyperplane away from maximal[0]'s opposite ray, while q, which
+           has coefficient 1 at that ray, lies strictly on its side.
+        2. Some dual functional m_i of maximal[0] (m_i(u_j) = [i = j] on its
+           rays u_j, the rows of `cone_inverse(0)`'s d*b^-1 over d) is <= 0
+           on every ray of tau. Then m_i <= 0 on tau, but m_i(q) = 1. The
+           sign of m_i(r) is that of d*(d*b^-1 r)_i, so one bit mask of rays
+           per i decides this for every tau.
+        3. Otherwise the Cramer coefficients of q in tau's rays, those at
+           rays outside maximal[0] first, as they turn negative: q is in
+           tau iff all of them are >= 0.
 
     (a) and (b) make the cones cover every generic point the same number
     of times; (c) makes that number 1, which rules out a fan that wraps
@@ -229,32 +264,41 @@ def is_complete(fan: Fan) -> bool:
     passes (a), and it cannot fail (b) or (c), since no two of its cones
     overlap. The cones must already be known to be simplicial; every `Fan`
     that `validate_fan` returns has simplicial cones meeting in common
-    faces, so there the answer is exact either way.
+    faces, so there the answer is exact either way. `dets`, when given,
+    holds the determinants of the maximal cones' ray rows in order, as
+    `validate_fan` has them; otherwise they are computed here.
     """
     dim, rays, maximal = fan.dim, fan.rays, fan.max_cones
     if not maximal or any(len(c) != dim for c in maximal):
         return False
+    if dets is None:
+        dets = [int_det([rays[i] for i in c.ray_indices]) for c in maximal]
+    masks = [ray_mask(c.ray_indices) for c in maximal]
     # det(R, a) is det(cone) with a's row moved last: dim-1-pos transpositions.
-    dets = []
-    ridge_sides: dict[tuple, list[bool]] = {}
-    for cone in maximal:
-        idx = cone.ray_indices
-        det = int_det([rays[i] for i in idx])
+    ridge_sides: dict[int, list[bool]] = {}
+    for cone, mask, det in zip(maximal, masks, dets):
         if det == 0:
             return False
-        dets.append(det)
-        for pos in range(dim):
-            ridge = idx[:pos] + idx[pos + 1 :]
-            ridge_sides.setdefault(ridge, []).append((det > 0) == ((dim - 1 - pos) % 2 == 0))
+        for pos, a in enumerate(cone.ray_indices):
+            ridge_sides.setdefault(mask ^ 1 << a, []).append((det > 0) == ((dim - 1 - pos) % 2 == 0))
     if any(len(sides) != 2 or sides[0] == sides[1] for sides in ridge_sides.values()):
         return False
     first = maximal[0].ray_indices
     q = tuple(sum(col) for col in zip(*(rays[i] for i in first)))
-    for cone, det in zip(maximal[1:], dets[1:]):
+    below = None  # per dual functional of maximal[0], the mask of rays where it is <= 0
+    for cone, mask, det in zip(maximal[1:], masks[1:], dets[1:]):
+        if (mask & masks[0]).bit_count() == dim - 1:
+            continue
+        if below is None:
+            d, m = fan.cone_inverse(0)
+            below = [
+                ray_mask(r for r, vector in enumerate(rays) if d * sum(map(mul, row, vector)) <= 0)
+                for row in m
+            ]
+        if any((mask & b) == mask for b in below):
+            continue
         idx = cone.ray_indices
         rows = [rays[i] for i in idx]
-        # q is in the closed cone iff every Cramer coefficient is >= 0; the
-        # ones at rays outside maximal[0] go first, as they turn negative.
         order = sorted(range(dim), key=lambda k: idx[k] in first)
         if all(int_det(rows[:k] + [q] + rows[k + 1 :]) * det >= 0 for k in order):
             return False

@@ -111,7 +111,9 @@ def scaled_inverse(b) -> tuple[int, IntMat] | None:
 
     Fraction-free Gauss-Jordan elimination on [b | 1]: every entry stays an
     integer minor, so each division is exact, and the left block ends as
-    d*1 and the right block as d*b^-1, with d the last pivot.
+    d*1 and the right block as d*b^-1, with d the last pivot. A row whose
+    lead entry is 0 is left as it is when the pivot equals the previous
+    one, since (p*x - 0*y) // p = x.
     """
     n = len(b)
     if any(len(row) != n for row in b):
@@ -126,8 +128,8 @@ def scaled_inverse(b) -> tuple[int, IntMat] | None:
         rk = m[k]
         p = rk[k]
         for i, ri in enumerate(m):
-            if i != k:
-                lead = ri[k]
+            lead = ri[k]
+            if i != k and (lead or p != d):
                 m[i] = [(p * x - lead * y) // d for x, y in zip(ri, rk)]
         d = p
     return d, tuple(tuple(row[n:]) for row in m)

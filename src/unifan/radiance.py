@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .fan import Fan
-from .linalg import IntMat, NotUnimodular, invert_unimodular
+from .linalg import IntMat
 
 
 @dataclass(frozen=True)
@@ -38,17 +38,23 @@ def iter_bilateral_structures(fan: Fan) -> Iterator[BilateralStructure]:
     sigma with c_{p_i} >= 1. So sigma, which has n rays, is cone(p_1..p_n).
     `fan.max_cones` is lex-sorted, so the sequence yielded is the one over
     all n-subsets of the rays.
+
+    A cone is a lattice basis iff the d of its `fan.cone_inverse` is +-1,
+    and then d * (d*b^-1) is the exact inverse, the dual basis in rows. The
+    inverses are kept on the fan, so a second search, or the class group
+    and root certificates that read the same cones, eliminates nothing
+    again, and a rejected candidate computes no Smith form.
     """
     n = fan.dim
     indices = range(fan.num_rays)
-    for cone in fan.max_cones:
+    for k, cone in enumerate(fan.max_cones):
         combo = cone.ray_indices
         if len(combo) != n:
             continue
-        try:
-            dual = invert_unimodular(tuple(zip(*(fan.rays[i] for i in combo))))
-        except NotUnimodular:
+        d, m = fan.cone_inverse(k)
+        if d not in (1, -1):
             continue
+        dual = tuple(tuple(d * x for x in row) for row in m)
         candidate = BilateralStructure(
             positive=combo,
             negative=tuple(i for i in indices if i not in combo),

@@ -20,7 +20,7 @@ from unifan.fan import (
     ray_mask,
     validate_fan,
 )
-from unifan.linalg import feasible, int_det
+from unifan.linalg import feasible, int_det, rational_rank
 
 from conftest import (
     CERTIFICATE_CORPORA,
@@ -32,6 +32,7 @@ from conftest import (
     has_cone,
     p1_power,
     random_surfaces,
+    star_subdivided,
 )
 
 HIRZ2_RAYS = [(1, 0), (0, 1), (-1, -2), (0, -1)]
@@ -288,6 +289,40 @@ def reference_is_complete(fan) -> bool:
     return len(seen) == len(fan.max_cones)
 
 
+def previous_is_complete(fan) -> bool:
+    """`is_complete` as it was before the ridge and sign-mask tiers of test
+    (c): one determinant per cone, then the Cramer signs of q in every cone
+    after the first. Kept verbatim as the reference of the tiers."""
+    dim, rays, maximal = fan.dim, fan.rays, fan.max_cones
+    if not maximal or any(len(c) != dim for c in maximal):
+        return False
+    # det(R, a) is det(cone) with a's row moved last: dim-1-pos transpositions.
+    dets = []
+    ridge_sides: dict[tuple, list[bool]] = {}
+    for cone in maximal:
+        idx = cone.ray_indices
+        det = int_det([rays[i] for i in idx])
+        if det == 0:
+            return False
+        dets.append(det)
+        for pos in range(dim):
+            ridge = idx[:pos] + idx[pos + 1 :]
+            ridge_sides.setdefault(ridge, []).append((det > 0) == ((dim - 1 - pos) % 2 == 0))
+    if any(len(sides) != 2 or sides[0] == sides[1] for sides in ridge_sides.values()):
+        return False
+    first = maximal[0].ray_indices
+    q = tuple(sum(col) for col in zip(*(rays[i] for i in first)))
+    for cone, det in zip(maximal[1:], dets[1:]):
+        idx = cone.ray_indices
+        rows = [rays[i] for i in idx]
+        # q is in the closed cone iff every Cramer coefficient is >= 0; the
+        # ones at rays outside maximal[0] go first, as they turn negative.
+        order = sorted(range(dim), key=lambda k: idx[k] in first)
+        if all(int_det(rows[:k] + [q] + rows[k + 1 :]) * det >= 0 for k in order):
+            return False
+    return True
+
+
 def lp_verdict(dim, rays, cones):
     """The LP path: pairwise intersections, then the ridge-pairing test."""
     cones = [Cone(tuple(sorted(c))) for c in cones]
@@ -449,9 +484,9 @@ class TestIsCompleteAgainstReference:
 
     @pytest.mark.parametrize("spec", [f"pn:{n}" for n in range(1, 6)] + ["wps:1,1,2,4", "P1^3"])
     def test_one_cramer_determinant_per_further_cone(self, monkeypatch, spec):
-        """One determinant per cone for its orientation, then one Cramer
-        coefficient per cone after the first: the one at a ray outside the
-        first cone, which is negative."""
+        """One determinant per cone for its orientation, and no Cramer
+        coefficient at all: on these fans every cone after the first shares
+        a ridge with it or lies where one of its dual functionals is <= 0."""
         fan = p1_power(3) if spec == "P1^3" else family(spec)
         calls = []
 
@@ -461,7 +496,7 @@ class TestIsCompleteAgainstReference:
 
         monkeypatch.setattr(fan_module, "int_det", counting)
         assert is_complete(fan)
-        assert len(calls) <= 2 * len(fan.max_cones) - 1
+        assert len(calls) == len(fan.max_cones)
 
     def test_small_incomplete_fans(self):
         for fan in (orthant_fan(), validate_fan(1, [(1,)], [[0]])):
@@ -477,6 +512,187 @@ class TestIsCompleteAgainstReference:
         fan = validate_fan(2, HIRZ2_RAYS, HIRZ2_CONES[1:])
         assert len(fan.max_cones) == 3
         assert not is_complete(fan)
+
+
+def raw_truncations(fan):
+    """The fan with one maximal cone dropped, once per maximal cone, as raw
+    `Fan`s: rays and order kept, no validation (the certificate reads only
+    `dim`, `rays` and `max_cones`)."""
+    for drop in range(len(fan.max_cones)):
+        yield Fan(fan.dim, fan.rays, fan.max_cones[:drop] + fan.max_cones[drop + 1 :])
+
+
+def star_subdivisions():
+    """Seeded iterated star subdivisions of P3 and P4: 3 to 8 rays more
+    than the base, so many cones meet the first one in a vertex only."""
+    bases = {"P3": family("pn:3"), "P4": family("pn:4")}
+    return [
+        star_subdivided(bases[base], steps, f"tiers:{base}:{steps}:{k}")
+        for base, steps in (("P3", 3), ("P3", 6), ("P3", 8), ("P4", 3), ("P4", 6))
+        for k in range(6)
+    ]
+
+
+# Angular order (1, 0), (0, 1), (-6, 1), (1, -6): the cone (-6, 1), (1, -6) is
+# not adjacent to the first cone, and each of its rays is positive on one of
+# the first cone's dual functionals, so only the Cramer signs settle it.
+CRAMER_FAN = (2, [(1, 0), (0, 1), (-6, 1), (1, -6)], [[0, 1], [1, 2], [2, 3], [3, 0]])
+
+RAW_DATA = {
+    "P1": P1,
+    "P2": P2,
+    "dP6": DP6,
+    "P1^4": product_data([P1] * 4),
+    "P2xP1": product_data([P2, P1]),
+    "cramer-fan": CRAMER_FAN,
+    "double-wrap": (2, DOUBLE_WRAP_RAYS, DOUBLE_WRAP_CONES),
+    "suspended-double-wrap": suspended_double_wrap(),
+    "cone-removed": (2, HIRZ2_RAYS, HIRZ2_CONES[1:]),
+    "p2-folded": (2, [(1, 0), (0, 1), (1, 1)], P2[2]),
+    "folded-cycle": (2, [(1, 0), (0, 1), (1, 2), (-1, -1)], HIRZ2_CONES),
+    "one-cone-3": (3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [[0, 1, 2]]),
+}
+
+
+def cramer_count(monkeypatch, fans) -> int:
+    """The Cramer determinants `is_complete` evaluates over the fans: every
+    `int_det` call beyond one orientation determinant per maximal cone."""
+    calls = []
+
+    def counting(rows):
+        calls.append(rows)
+        return int_det(rows)
+
+    monkeypatch.setattr(fan_module, "int_det", counting)
+    total = 0
+    for fan in fans:
+        before = len(calls)
+        is_complete(fan)
+        total += len(calls) - before - len(fan.max_cones)
+    return total
+
+
+class TestIsCompleteAgainstPrevious:
+    """The ridge and sign-mask tiers of test (c) against the all-Cramer
+    body they short-cut, and against the ridge-graph reference."""
+
+    def _check(self, fan, expected):
+        got = is_complete(fan)
+        assert got is previous_is_complete(fan) is reference_is_complete(fan) is expected, fan
+
+    @pytest.mark.parametrize("corpus", sorted(CERTIFICATE_CORPORA))
+    def test_certificate_corpora_and_truncations(self, corpus):
+        for fan in CERTIFICATE_CORPORA[corpus]():
+            self._check(fan, True)
+            for truncated in raw_truncations(fan):
+                self._check(truncated, False)
+
+    def test_star_subdivisions_and_truncations(self):
+        fans = star_subdivisions()
+        assert {f.num_rays for f in fans} == {7, 10, 12, 8, 11}
+        for fan in fans:
+            self._check(fan, True)
+            for truncated in raw_truncations(fan):
+                self._check(truncated, False)
+
+    @pytest.mark.parametrize("name", sorted(RAW_DATA))
+    def test_raw_data(self, name):
+        """Raw data, also data that `validate_fan` rejects, where the
+        ridge-graph reference does not apply: only the previous body."""
+        data = RAW_DATA[name]
+        maximal = tuple(sorted(Cone(tuple(sorted(c))) for c in data[2]))
+        fan = Fan(data[0], tuple(map(tuple, data[1])), maximal)
+        assert certificate(*data) is is_complete(fan) is previous_is_complete(fan)
+
+    def test_validated_determinants_give_the_same_answer(self):
+        fans = [validate_fan(*data) for data in (P2, DP6, CRAMER_FAN, product_data([P1] * 4))]
+        fans += star_subdivisions() + random_surfaces()
+        for fan in fans:
+            dets = [int_det([fan.rays[i] for i in c]) for c in fan.max_cones]
+            for truncated in [fan, *raw_truncations(fan)]:
+                kept = [d for c, d in zip(fan.max_cones, dets) if c in truncated.max_cones]
+                assert is_complete(truncated, kept) is previous_is_complete(truncated)
+
+    def test_cramer_fallback_is_reached(self, monkeypatch):
+        """Neither cheap tier settles every cone: the fallback runs on the
+        hand-made fan and on the 4284 box surfaces."""
+        assert cramer_count(monkeypatch, [validate_fan(*CRAMER_FAN)]) > 0
+        assert cramer_count(monkeypatch, box2_rays5()) > 0
+
+
+def _count_in_validation(monkeypatch, build):
+    """The `int_det` calls, those of them inside `is_complete`, and the
+    `rational_rank` calls while `build()` validates; and what it built."""
+    counts = {"int_det": 0, "in_is_complete": 0, "rational_rank": 0}
+    inside = [False]
+
+    def int_det_counting(rows):
+        counts["int_det"] += 1
+        counts["in_is_complete"] += inside[0]
+        return int_det(rows)
+
+    def rank_counting(rows):
+        counts["rational_rank"] += 1
+        return rational_rank(rows)
+
+    real_is_complete = fan_module.is_complete
+
+    def is_complete_flagged(fan, dets=None):
+        inside[0] = True
+        try:
+            return real_is_complete(fan, dets)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(fan_module, "int_det", int_det_counting)
+    monkeypatch.setattr(fan_module, "rational_rank", rank_counting)
+    monkeypatch.setattr(fan_module, "is_complete", is_complete_flagged)
+    fans = build()
+    return counts, fans
+
+
+F1 = (2, [(1, 0), (0, 1), (-1, -1), (0, -1)], HIRZ2_CONES)
+F2 = (2, HIRZ2_RAYS, HIRZ2_CONES)
+PRODUCT_FACTORS = [[P1] * 6, [P2] * 3, [F1, F2, P1], [F2, F2, P1], [P2, P1, P1, P1], [DP6, DP6]]
+
+
+class TestValidationKeepsItsDeterminants:
+    """The simpliciality check of a listed cone with `dim` rays is its
+    determinant, which `is_complete` reads instead of eliminating again."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: [family(spec) for spec in FAMILY_SPECS],
+            lambda: [validate_fan(*product_data(f), require_complete=True) for f in PRODUCT_FACTORS],
+        ],
+        ids=["family_specs", "products"],
+    )
+    def test_no_determinant_in_is_complete_and_no_rank(self, monkeypatch, build):
+        counts, fans = _count_in_validation(monkeypatch, build)
+        assert counts["in_is_complete"] == 0
+        assert counts["rational_rank"] == 0
+        assert counts["int_det"] == sum(len(fan.max_cones) for fan in fans)
+
+    def test_narrower_cones_keep_the_rank_check(self, monkeypatch):
+        counts, _ = _count_in_validation(
+            monkeypatch, lambda: validate_fan(2, HIRZ2_RAYS, HIRZ2_CONES + [[0], [1, 2], [2]])
+        )
+        assert counts["rational_rank"] == 2 and counts["int_det"] == 5
+        assert counts["in_is_complete"] == 0
+
+    def test_non_simplicial_order_on_listed_cones(self):
+        """The first dependent cone in the listed order is named, whether it
+        is checked by its determinant or by its rank."""
+        rays = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (2, 2, 1)]
+        for cones, named in [
+            ([[0, 1, 2], [0, 1]], (0, 1, 2)),
+            ([[0, 2, 1, 3], [0, 1, 2]], (0, 1, 2, 3)),
+            ([[1, 0], [3, 4, 2], [0, 1, 2]], (2, 3, 4)),
+        ]:
+            with pytest.raises(NonSimplicialCone) as info:
+                validate_fan(3, rays, cones)
+            assert str(info.value) == f"rays {named} are linearly dependent; cone is not simplicial"
 
 
 class TestFaceIndex:
@@ -503,6 +719,15 @@ class TestFaceIndex:
         assert a.all_cones is not b.all_cones
         assert "all_cones" not in repr(a)
         assert a.all_cones == b.all_cones and a == b and hash(a) == hash(b)
+
+    def test_cone_inverse_memo_is_not_part_of_equality_hash_or_repr(self):
+        a = validate_fan(2, HIRZ2_RAYS, HIRZ2_CONES)
+        b = Fan(a.dim, a.rays, a.max_cones)
+        assert a.cone_inverse(3) == (1, ((-1, 0), (2, -1)))
+        assert a.cone_inverse(3) is a.cone_inverse(3)
+        assert "_cone_inverses" in vars(a) and "_cone_inverses" not in vars(b)
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == repr(b) and "inverse" not in repr(a)
 
     def test_fan_has_exactly_three_fields(self):
         assert [f.name for f in fields(Fan)] == ["dim", "rays", "max_cones"]

@@ -189,6 +189,60 @@ class TestScaledInverse:
             scaled_inverse(((1, 0, 0), (0, 1, 0)))
 
 
+def previous_scaled_inverse(b):
+    """`scaled_inverse` before rows with a zero lead entry under an unchanged
+    pivot were left untouched, kept verbatim as its reference."""
+    n = len(b)
+    if any(len(row) != n for row in b):
+        raise ValueError("matrix is not square")
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(b)]
+    d = 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if pivot is None:
+            return None
+        m[k], m[pivot] = m[pivot], m[k]
+        rk = m[k]
+        p = rk[k]
+        for i, ri in enumerate(m):
+            if i != k:
+                lead = ri[k]
+                m[i] = [(p * x - lead * y) // d for x, y in zip(ri, rk)]
+        d = p
+    return d, tuple(tuple(row[n:]) for row in m)
+
+
+class TestScaledInverseAgainstPrevious:
+    """The row skip changes no output: random, near-identity and singular
+    square matrices of sizes 1 to 6."""
+
+    def test_seeded_matrices(self):
+        rng = random.Random(24)
+        kinds = {"random": 0, "near-identity": 0, "singular": 0}
+        for trial in range(20000):
+            n = rng.randint(1, 6)
+            kind = ("random", "near-identity", "singular")[trial % 3]
+            if kind == "random":
+                b = random_matrix(rng, n, n, 3)
+            elif kind == "near-identity":
+                rows = [list(row) for row in identity(n)]
+                for _ in range(rng.randint(0, 2)):
+                    rows[rng.randrange(n)][rng.randrange(n)] = rng.randint(-3, 3)
+                b = tuple(map(tuple, rows))
+            else:
+                rows = list(random_matrix(rng, n - 1, n, 3))
+                coeffs = [rng.randint(-2, 2) for _ in rows]
+                last = tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n))
+                rows.insert(rng.randint(0, n - 1), last)
+                b = tuple(rows)
+            got = scaled_inverse(b)
+            assert got == previous_scaled_inverse(b), b
+            kinds[kind] += got is None
+        # every kind has nonsingular draws, and every singular draw is singular
+        assert kinds["singular"] == 6666
+        assert kinds["random"] < 3000 and kinds["near-identity"] < 3000
+
+
 def outcome(invert, b):
     """The inverse, or the NotUnimodular message."""
     try:

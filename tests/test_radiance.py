@@ -1,12 +1,15 @@
+import sys
 from itertools import combinations
 
 import pytest
 
 import unifan.linalg as linalg
-import unifan.radiance as radiance
 from unifan.classgroup import ClassGroupInfo, class_group
+from unifan.demazure import root_slices
+from unifan.families import NotApplicable, cross_check
 from unifan.fan import validate_fan
 from unifan.linalg import NotUnimodular, invert_unimodular
+from unifan.pipeline import analyze_fan
 from unifan.radiance import BilateralStructure, find_bilateral, iter_bilateral_structures
 
 from conftest import (
@@ -15,12 +18,15 @@ from conftest import (
     del_pezzo6,
     family,
     negative_surface,
+    non_radiant_draws,
     p1_power,
+    p112_first_cone_det2,
     product_of,
     radiant_p3_draw,
     random_surfaces,
     reference_invert_unimodular,
     reference_smith_normal_form,
+    torsion_surface,
 )
 
 
@@ -136,17 +142,31 @@ def cross_check_fans():
     return fans
 
 
-class TestAgainstReferenceInverse:
-    """The bilateral search and the class group are unchanged when the
-    inverse and the invariant factors come from the reference Smith form."""
+def reference_find_bilateral(fan):
+    """The first maximal cone, in order, whose reference Smith-form inverse
+    exists and puts every other ray in the closed negative orthant."""
+    for cone in fan.max_cones:
+        combo = cone.ray_indices
+        try:
+            dual = reference_invert_unimodular(tuple(zip(*(fan.rays[i] for i in combo))))
+        except NotUnimodular:
+            continue
+        others = tuple(i for i in range(fan.num_rays) if i not in combo)
+        if all(all(c <= 0 for c in mul_vec(dual, fan.rays[i])) for i in others):
+            return BilateralStructure(positive=combo, negative=others, dual_basis=dual)
+    return None
 
-    def test_find_bilateral_and_class_group(self, monkeypatch):
+
+class TestAgainstReferenceInverse:
+    """The bilateral search and the class group, which read the fan's kept
+    cone inverses, agree with the inverse and the invariant factors of the
+    reference Smith form."""
+
+    def test_find_bilateral_and_class_group(self):
         fans = cross_check_fans()
         found = [find_bilateral(fan) for fan in fans]
-        groups = [class_group(fan) for fan in fans]
-        monkeypatch.setattr(radiance, "invert_unimodular", reference_invert_unimodular)
-        assert found == [find_bilateral(fan) for fan in fans]
-        assert groups == [reference_class_group(fan) for fan in fans]
+        assert found == [reference_find_bilateral(fan) for fan in fans]
+        assert [class_group(fan) for fan in fans] == [reference_class_group(fan) for fan in fans]
         assert None in found and any(found)
 
     @pytest.mark.parametrize("spec", sorted(RADIANT_FIXTURES.values()))
@@ -157,3 +177,72 @@ class TestAgainstReferenceInverse:
         fan = family(spec)
         monkeypatch.setattr(linalg, "smith_normal_form", forbidden)
         assert find_bilateral(fan) is not None
+
+    @pytest.mark.parametrize("build", [torsion_surface, p112_first_cone_det2])
+    def test_rejected_candidates_need_no_smith_form(self, monkeypatch, build):
+        """A cone that is not a lattice basis is skipped on its determinant;
+        no Smith form names its factors."""
+        def forbidden(a):
+            raise AssertionError("smith_normal_form was called")
+
+        fan = build()
+        want = reference_bilateral_structures(fan)
+        monkeypatch.setattr(linalg, "smith_normal_form", forbidden)
+        assert list(iter_bilateral_structures(fan)) == want
+
+
+def _record_eliminations(monkeypatch):
+    """Wrap `scaled_inverse` in every unifan module that holds it; the
+    returned list gets each matrix eliminated."""
+    calls = []
+    real = linalg.scaled_inverse
+
+    def recording(b):
+        calls.append(tuple(map(tuple, b)))
+        return real(b)
+
+    for name, module in list(sys.modules.items()):
+        if name == "unifan" or name.startswith("unifan."):
+            if getattr(module, "scaled_inverse", None) is real:
+                monkeypatch.setattr(module, "scaled_inverse", recording)
+    return calls
+
+
+def _data(fan):
+    return fan.dim, fan.rays, [c.ray_indices for c in fan.max_cones]
+
+
+class TestOneEliminationPerCone:
+    """Validation, analysis, the cross-check and the root slices of one fan
+    eliminate each maximal cone at most once, through `Fan.cone_inverse`."""
+
+    def _check(self, monkeypatch, fans):
+        data = [_data(fan) for fan in fans]
+        calls = _record_eliminations(monkeypatch)
+        assert calls == []
+        for dim, rays, cones in data:
+            start = len(calls)
+            fan = validate_fan(dim, rays, cones, require_complete=True)
+            analysis = analyze_fan(fan)
+            try:
+                cross_check(fan, analysis.verdict)
+            except NotApplicable:
+                pass
+            root_slices(fan, analysis.bilateral, analysis.classes)
+            analysis = analyze_fan(fan)
+            mine = calls[start:]
+            assert len(mine) == len(set(mine)) <= len(fan.max_cones), (rays, len(mine))
+        return calls
+
+    def test_family_specs_and_products(self, monkeypatch):
+        fans = [family(spec) for spec in FAMILY_SPECS]
+        fans += [p1_power(3), product_of(family("pn:2"), family("pn:1")), del_pezzo6()]
+        assert self._check(monkeypatch, fans)
+
+    def test_non_radiant_draws_and_surfaces(self, monkeypatch):
+        fans = non_radiant_draws() + [torsion_surface(), del_pezzo6()]
+        fans += [fan for fan in random_surfaces() if find_bilateral(fan) is None]
+        assert self._check(monkeypatch, fans)
+
+    def test_radiant_draw(self, monkeypatch):
+        assert self._check(monkeypatch, [validate_fan(3, *radiant_p3_draw(6))])
