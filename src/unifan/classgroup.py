@@ -44,7 +44,13 @@ def class_group(fan: Fan) -> ClassGroupInfo:
     of +-1 makes that gcd 1, so all `dim` factors are 1. The determinant is
     the d of `fan.cone_inverse(0)`, which the completeness certificate and
     the bilateral search read too, so the cone is eliminated once per fan.
+    The group is kept on the fan (`Fan.kept`), so a second call, such as
+    the cross-check's after `analyze_fan`, computes nothing.
     """
+    return fan.kept("class_group", lambda: _class_group(fan))
+
+
+def _class_group(fan: Fan) -> ClassGroupInfo:
     first = fan.max_cones[0] if fan.max_cones else ()
     if len(first) == fan.dim and fan.cone_inverse(0)[0] in (1, -1):
         return ClassGroupInfo(free_rank=fan.num_rays - fan.dim, torsion_invariants=())
@@ -61,7 +67,15 @@ def radiant_classes(fan: Fan, bilateral) -> ClassTable:
     The positive-ray classes come from pairing the dual basis against the
     negative rays; entries are nonnegative because negative rays sit in the
     closed negative orthant of the chosen basis.
+
+    The table is kept on the fan under the structure passed in (`Fan.kept`),
+    so a table found for one bilateral structure never stands in for
+    another's, and a structure whose table raises keeps nothing.
     """
+    return fan.kept(("radiant_classes", bilateral), lambda: _class_table(fan, bilateral))
+
+
+def _class_table(fan: Fan, bilateral) -> ClassTable:
     k = len(bilateral.negative)
     dual = bilateral.dual_basis
     classes: list[IntVec | None] = [None] * fan.num_rays

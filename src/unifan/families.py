@@ -119,6 +119,11 @@ def cross_check(fan: Fan, verdict: Verdict) -> CheckReport:
     Rank-one class group: finite exactly for weight multisets starting 1, 1
     with a divisibility chain. Surfaces: finite exactly for the three known
     negative-ray patterns, up to swapping the basis coordinates.
+
+    The class group, the first bilateral structure and its class table are
+    kept on the fan (`Fan.kept`), so after `analyze_fan(fan)` this
+    recomputes none of them. An analysis made with another structure does
+    not stand in: the recognizers always read the first one.
     """
     info = class_group(fan)
     rank_one = info.free_rank == 1 and not info.torsion_invariants

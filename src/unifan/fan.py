@@ -1,5 +1,6 @@
 """Fan data model, validation and the completeness certificate from the listed
-cones alone, and the mask-keyed face index `Fan.all_cones`, built on first read."""
+cones alone, the mask-keyed face index `Fan.all_cones`, built on first read,
+and `Fan.kept`, the memo of the facts the stages share about one fan."""
 
 from __future__ import annotations
 
@@ -88,20 +89,30 @@ class Fan:
         return {ray_mask(f): Cone(f) for faces in by_size for f in sorted(faces)}
 
     @cached_property
-    def _cone_inverses(self) -> dict[int, tuple[int, IntMat] | None]:
+    def _memo(self) -> dict:
         return {}
+
+    def kept(self, key, compute):
+        """compute(), found on the first call with `key` and kept on this
+        `Fan`, outside the fields: the facts the stages share (the maximal
+        cones' inverses, the class group, the first bilateral structure and
+        the class table of each structure asked for) are found once per
+        `Fan` and die with it. A compute that raises keeps nothing."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
 
     def cone_inverse(self, i: int) -> tuple[int, IntMat] | None:
         """`scaled_inverse` of the matrix whose columns are the rays of
         maximal cone i, which must have `dim` rays: (d, d*b^-1) with
-        d = +-det b, or None when the rays are dependent. Found on first read
-        and kept, outside the fields, so each cone is eliminated at most once
-        per `Fan`."""
-        inverses = self._cone_inverses
-        if i not in inverses:
-            cone = self.max_cones[i].ray_indices
-            inverses[i] = scaled_inverse(tuple(zip(*(self.rays[u] for u in cone))))
-        return inverses[i]
+        d = +-det b, or None when the rays are dependent. Kept, so each cone
+        is eliminated at most once per `Fan`."""
+        cone = self.max_cones[i].ray_indices
+        return self.kept(
+            ("cone_inverse", i),
+            lambda: scaled_inverse(tuple(zip(*(self.rays[u] for u in cone)))),
+        )
 
     @property
     def num_rays(self) -> int:

@@ -10,6 +10,7 @@ from .classgroup import ClassGroupInfo, ClassTable, class_group, radiant_classes
 from .demazure import (
     DemazureRoot,
     choose_v,
+    class_table_slices,
     compute_precedence,
     mark_membership,
     root_records,
@@ -24,21 +25,42 @@ from .radiance import BilateralStructure, find_bilateral
 
 @dataclass(frozen=True)
 class FanAnalysis:
+    """The verdict pipeline's results on one fan. The fields are what the
+    verdict and the catalog need; `v`, `root_slices` and `roots` are found on
+    first read, since no verdict or catalog byte depends on them."""
+
     fan: Fan
     class_info: ClassGroupInfo
     bilateral: BilateralStructure | None
     classes: ClassTable | None
-    v: IntVec | None
     precedence: frozenset[tuple[int, int]] | None
     verdict: Verdict
     catalog: list[OrbitRecord] | None
+
+    @cached_property
+    def _semisimple(self) -> list[IntVec]:
+        """The semisimple roots of a radiant fan, the equal-class ray pairs of
+        `semisimple_roots` (whose pairing check runs here), found once for
+        both `v` and `root_slices`."""
+        return semisimple_roots(self.fan, self.bilateral, self.classes)
+
+    @cached_property
+    def v(self) -> IntVec | None:
+        """The lattice vector defining the maximal unipotent subgroup, found
+        on first read by `choose_v`; None off radiant fans. It only picks
+        which semisimple roots lie in U."""
+        if self.bilateral is None:
+            return None
+        return choose_v(self.fan, self.bilateral, self._semisimple)
 
     @cached_property
     def root_slices(self) -> tuple[list[list[IntVec]], frozenset[IntVec]]:
         """Each ray's Demazure roots, sorted, and the set of semisimple ones,
         found on first read: from the class table on a radiant fan, from the
         projection chain on any other (see `demazure.root_slices`)."""
-        return root_slices(self.fan, self.bilateral, self.classes)
+        if self.bilateral is None:
+            return root_slices(self.fan)
+        return class_table_slices(self.bilateral, self.classes), frozenset(self._semisimple)
 
     @cached_property
     def roots(self) -> list[DemazureRoot]:
@@ -57,19 +79,20 @@ def analyze_fan(fan: Fan, bilateral: BilateralStructure | None = None) -> FanAna
     An explicit bilateral structure can be supplied to exercise a witness
     other than the first one found; the verdict must not depend on it.
     Each stage fills its own fields; those of stages that never ran stay None.
-    The semisimple roots that fix `v` are the equal-class ray pairs, so no
-    root is enumerated here: `root_slices` and `roots` are found when first
-    read.
+    The verdict needs the class table and the precedence order but no root
+    and no `v`, so none is found here: `v`, `root_slices` and `roots` are
+    found when first read. The class group, the first bilateral structure
+    and the class table are kept on the fan (`Fan.kept`), so
+    `families.cross_check(fan, verdict)` afterwards recomputes none of them.
     """
     class_info = class_group(fan)
     if bilateral is None:
         bilateral = find_bilateral(fan)
-    classes = v = precedence = catalog = None
+    classes = precedence = catalog = None
     if bilateral is None:
         verdict = Verdict(finite=False, reason="not_radiant")
     else:
         classes = radiant_classes(fan, bilateral)
-        v = choose_v(fan, bilateral, semisimple_roots(fan, bilateral, classes))
         precedence = compute_precedence(bilateral, classes)
         witness = non_free_witness(fan, classes)
         if witness is not None:
@@ -88,9 +111,7 @@ def analyze_fan(fan: Fan, bilateral: BilateralStructure | None = None) -> FanAna
         class_info=class_info,
         bilateral=bilateral,
         classes=classes,
-        v=v,
         precedence=precedence,
         verdict=verdict,
         catalog=catalog,
     )
-

@@ -72,6 +72,7 @@ def find_bilateral(fan: Fan) -> BilateralStructure | None:
 
     The positive rays are ordered by ascending input index; that ordering is
     the convention all downstream orderings build on, so the first witness
-    makes every report reproducible from the input file alone.
+    makes every report reproducible from the input file alone. The answer is
+    kept on the fan (`Fan.kept`), so a second search finds it there.
     """
-    return next(iter_bilateral_structures(fan), None)
+    return fan.kept("find_bilateral", lambda: next(iter_bilateral_structures(fan), None))

@@ -374,6 +374,25 @@ class TestRootsOnDemand:
         assert root_fields(analysis.roots) == root_fields(expected)
         assert analysis.roots is analysis.roots
 
+    @pytest.mark.parametrize("spec", sorted(RADIANT_FIXTURES.values()))
+    def test_verdict_computes_no_v(self, spec, monkeypatch):
+        """The verdict and the catalog need no semisimple root and no `v`:
+        with both names failing, `analyze_fan` gives the unpatched verdict
+        and catalog, and `v` is found on first read, equal to the record-based
+        choice."""
+        expected = analyze_fan(family(spec))
+        fan = family(spec)
+        with monkeypatch.context() as patch:
+            for name in ("semisimple_roots", "choose_v"):
+                for module in (unifan.demazure, unifan.pipeline):
+                    patch.setattr(module, name, forbidden(name))
+            analysis = analyze_fan(fan)
+        assert analysis.verdict == expected.verdict
+        assert analysis.catalog == expected.catalog
+        assert "v" not in vars(analysis)
+        roots = reference_enumerate_roots(fan)
+        assert analysis.v == reference_choose_v(fan, analysis.bilateral, roots)
+
     @pytest.mark.parametrize(
         "fan, sliced",
         [
@@ -439,13 +458,13 @@ class TestChooseV:
 
 
 class TestAnalysisValues:
-    def test_fan_analysis_has_exactly_eight_fields(self):
+    def test_fan_analysis_has_exactly_seven_fields(self):
+        """`v` is found on first read, not a field."""
         assert [f.name for f in fields(FanAnalysis)] == [
             "fan",
             "class_info",
             "bilateral",
             "classes",
-            "v",
             "precedence",
             "verdict",
             "catalog",

@@ -1,5 +1,6 @@
 import pytest
 
+import unifan.classgroup as classgroup_module
 from unifan.classgroup import class_group, radiant_classes
 from unifan.families import (
     CheckReport,
@@ -12,9 +13,9 @@ from unifan.families import (
     cross_check,
     parse_family,
 )
-from unifan.fan import is_complete, validate_fan
+from unifan.fan import Fan, is_complete, validate_fan
 from unifan.pipeline import analyze_fan
-from unifan.radiance import find_bilateral
+from unifan.radiance import find_bilateral, iter_bilateral_structures
 
 from conftest import (
     FAMILY_SPECS,
@@ -27,6 +28,7 @@ from conftest import (
     radiant_p3_draw,
     random_surfaces,
 )
+from test_radiance import _record_eliminations
 
 
 class TestParseFamily:
@@ -277,3 +279,62 @@ def test_cross_check_matches_reference():
         assert outcome(cross_check, fan, verdict) == expected
         applicable += isinstance(expected, CheckReport)
     assert 0 < applicable < len(fans)
+
+
+class TestSharedStages:
+    """`analyze_fan` keeps the class group, the first bilateral structure and
+    its class table on the fan, so `cross_check` afterwards eliminates no
+    cone and builds no class table. What is kept dies with the `Fan`: a
+    separately built equal fan finds everything again."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Every `scaled_inverse` matrix and every class table built."""
+        calls = _record_eliminations(monkeypatch)
+        real = classgroup_module._class_table
+
+        def counting(fan, bilateral):
+            calls.append(("class table", bilateral))
+            return real(fan, bilateral)
+
+        monkeypatch.setattr(classgroup_module, "_class_table", counting)
+        return calls
+
+    def test_cross_check_recomputes_nothing(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        builders = [lambda spec=spec: family(spec) for spec in FAMILY_SPECS]
+        builders += [del_pezzo6, lambda: negative_surface(2)]
+        tables = 0
+        for build_fan in builders:
+            runs = []
+            for _ in range(2):
+                start = len(calls)
+                fan = build_fan()
+                verdict = analyze_fan(fan).verdict
+                middle = len(calls)
+                cross_check(fan, verdict)
+                assert calls[middle:] == [], fan.rays
+                runs.append((fan, calls[start:]))
+            (first, found), (second, found_again) = runs
+            assert first == second and first is not second
+            assert found_again == found and found
+            tables += any(call[0] == "class table" for call in found)
+        assert tables == len(FAMILY_SPECS) + 1
+
+    def test_non_first_structure_does_not_stand_in(self):
+        """An analysis made with a later structure keeps that structure's
+        class table apart: the cross-check, and the first structure's table,
+        equal those of a fresh copy of the fan that never saw it."""
+        fans = [family(spec) for spec in FAMILY_SPECS] + random_surfaces()
+        checked = 0
+        for fan in fans:
+            for bilateral in list(iter_bilateral_structures(fan))[1:]:
+                verdict = analyze_fan(fan, bilateral=bilateral).verdict
+                fresh = Fan(fan.dim, fan.rays, fan.max_cones)
+                expected = outcome(reference_cross_check, fresh, verdict)
+                assert outcome(cross_check, fan, verdict) == expected
+                first = find_bilateral(fan)
+                assert radiant_classes(fan, first) == radiant_classes(fresh, first)
+                assert radiant_classes(fan, bilateral).negative == bilateral.negative
+                checked += 1
+        assert checked > 0

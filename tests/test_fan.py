@@ -725,7 +725,7 @@ class TestFaceIndex:
         b = Fan(a.dim, a.rays, a.max_cones)
         assert a.cone_inverse(3) == (1, ((-1, 0), (2, -1)))
         assert a.cone_inverse(3) is a.cone_inverse(3)
-        assert "_cone_inverses" in vars(a) and "_cone_inverses" not in vars(b)
+        assert "_memo" in vars(a) and "_memo" not in vars(b)
         assert a == b and hash(a) == hash(b)
         assert repr(a) == repr(b) and "inverse" not in repr(a)
 

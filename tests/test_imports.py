@@ -163,6 +163,38 @@ def test_every_function_and_method_is_referenced_from_src():
     assert unreferenced == UNREFERENCED_ALLOWED
 
 
+# Module-level functions that may carry `functools.cache` or `lru_cache`,
+# with the reason.
+CACHED_ALLOWED = {
+    # the argument parser, built once per process; `parse_args` makes a fresh
+    # namespace, so no call sees another's state
+    ("cli", "make_parser"),
+}
+
+
+def _is_cache(node) -> bool:
+    """`cache`, `lru_cache` or `lru_cache(...)`, bare or as `functools.x`."""
+    target = node.func if isinstance(node, ast.Call) else node
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+    return name in {"cache", "lru_cache"}
+
+
+def test_no_module_level_cache():
+    """A fact found about a fan is kept on that `Fan` (`Fan.kept`) and dies
+    with it; a module-level cache would outlive it and hand one fan's result
+    to every equal fan for the life of the process."""
+    cached = set()
+    for module, tree in MODULES.items():
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(map(_is_cache, top.decorator_list)):
+                    cached.add((module, top.name))
+            elif isinstance(top, (ast.Assign, ast.AnnAssign)) and top.value is not None:
+                if any(isinstance(n, ast.Call) and _is_cache(n.func) for n in ast.walk(top.value)):
+                    cached.add((module, ast.unparse(top)))
+    assert cached == CACHED_ALLOWED
+
+
 # Fields kept without a read in `src`, with the reason.
 UNREAD_ALLOWED = {
     # the flag of the library's root records (`FanAnalysis.roots`); the CLI
