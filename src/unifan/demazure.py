@@ -41,7 +41,7 @@ def root_slices(
     """Each ray's Demazure roots, sorted, and the set of semisimple ones.
 
     Given the bilateral structure and class table of a radiant fan, each
-    ray's roots are read off the class table (`class_table_slices`) and the
+    ray's roots are read off the class table (`_class_table_slices`) and the
     semisimple roots are the equal-class pair vectors of `semisimple_roots`.
     Otherwise each ray's roots are the bounded lattice slice pairing to -1
     with that ray and nonnegatively with all others: [] when
@@ -59,7 +59,7 @@ def root_slices(
         all_e = {e for found in slices for e in found}
         semisimple = frozenset(e for e in all_e if tuple([-x for x in e]) in all_e)
     else:
-        slices = class_table_slices(bilateral, classes)
+        slices = _class_table_slices(bilateral, classes)
         semisimple = frozenset(semisimple_roots(fan, bilateral, classes))
     return slices, semisimple
 
@@ -127,7 +127,7 @@ def _certified_empty(fan: Fan) -> int:
     return empty
 
 
-def class_table_slices(
+def _class_table_slices(
     bilateral: BilateralStructure, classes: ClassTable
 ) -> list[list[IntVec]]:
     """Each ray's roots on a radiant fan, sorted, with no linear system.

@@ -10,12 +10,10 @@ from .classgroup import ClassGroupInfo, ClassTable, class_group, radiant_classes
 from .demazure import (
     DemazureRoot,
     choose_v,
-    class_table_slices,
     compute_precedence,
     mark_membership,
     root_records,
     root_slices,
-    semisimple_roots,
 )
 from .fan import Fan
 from .linalg import IntVec
@@ -38,29 +36,20 @@ class FanAnalysis:
     catalog: list[OrbitRecord] | None
 
     @cached_property
-    def _semisimple(self) -> list[IntVec]:
-        """The semisimple roots of a radiant fan, the equal-class ray pairs of
-        `semisimple_roots` (whose pairing check runs here), found once for
-        both `v` and `root_slices`."""
-        return semisimple_roots(self.fan, self.bilateral, self.classes)
-
-    @cached_property
     def v(self) -> IntVec | None:
         """The lattice vector defining the maximal unipotent subgroup, found
-        on first read by `choose_v`; None off radiant fans. It only picks
-        which semisimple roots lie in U."""
+        on first read by `choose_v` from the semisimple set of `root_slices`;
+        None off radiant fans. It only picks which semisimple roots lie in U."""
         if self.bilateral is None:
             return None
-        return choose_v(self.fan, self.bilateral, self._semisimple)
+        return choose_v(self.fan, self.bilateral, self.root_slices[1])
 
     @cached_property
     def root_slices(self) -> tuple[list[list[IntVec]], frozenset[IntVec]]:
         """Each ray's Demazure roots, sorted, and the set of semisimple ones,
-        found on first read: from the class table on a radiant fan, from the
-        projection chain on any other (see `demazure.root_slices`)."""
-        if self.bilateral is None:
-            return root_slices(self.fan)
-        return class_table_slices(self.bilateral, self.classes), frozenset(self._semisimple)
+        found on first read (see `demazure.root_slices`): from the class
+        table on a radiant fan, from the projection chain on any other."""
+        return root_slices(self.fan, self.bilateral, self.classes)
 
     @cached_property
     def roots(self) -> list[DemazureRoot]:
