@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .fan import Fan
 from .linalg import IntVec, InvariantViolation, smith_normal_form
@@ -29,6 +30,16 @@ class ClassTable:
 
     def class_of(self, ray_index: int) -> IntVec:
         return self.classes[ray_index]
+
+    @cached_property
+    def carriers(self) -> tuple[int, ...]:
+        """For each ray, the mask of the rays of its class, itself included.
+        Built on first read and kept outside the fields, so a `replace` copy
+        builds its own, and equality, hash and repr are the fields' alone."""
+        union: dict[IntVec, int] = {}
+        for r, c in enumerate(self.classes):
+            union[c] = union.get(c, 0) | 1 << r
+        return tuple(union[c] for c in self.classes)
 
 
 def class_group(fan: Fan) -> ClassGroupInfo:

@@ -254,7 +254,11 @@ def _monomial_rays(fan: Fan, rho: int, e) -> int:
     return reads
 
 
-def _oracle_check(analysis: FanAnalysis, seed: int, trials: int = 30) -> dict:
+# Trials of one `--check` oracle run.
+_ORACLE_TRIALS = 30
+
+
+def _oracle_check(analysis: FanAnalysis, seed: int) -> dict:
     """Seeded spot-check of the root and torus actions against the analysis.
 
     On a finite verdict all basic subsets are enumerated: the (rays, hat)
@@ -290,7 +294,7 @@ def _oracle_check(analysis: FanAnalysis, seed: int, trials: int = 30) -> dict:
             raise InvariantViolation(
                 "the orbit catalog differs from the basic subsets in the quotient domain"
             )
-        draws = (rng.choice(basics) for _ in range(trials))
+        draws = (rng.choice(basics) for _ in range(_ORACLE_TRIALS))
     else:
         draws = random_basic_subsets(analysis.classes, analysis.precedence, rng)
     fan = analysis.fan
@@ -302,7 +306,7 @@ def _oracle_check(analysis: FanAnalysis, seed: int, trials: int = 30) -> dict:
         if _in_u(e, semisimple, analysis.v)
     ]
     failures = 0
-    for basic in islice(draws, trials):
+    for basic in islice(draws, _ORACLE_TRIALS):
         zeros = _stratum_zeros(fan.num_rays, basic, rng)
         frozen = basic.rays_mask | basic.hat_mask
         candidates = [root for root in in_u_roots if frozen >> root[0] & 1]
@@ -313,21 +317,25 @@ def _oracle_check(analysis: FanAnalysis, seed: int, trials: int = 30) -> dict:
                 failures += 1
         for _ in range(analysis.classes.k):
             _nonzero_draw(rng)
-    return {"seed": seed, "trials": trials, "failures": failures}
+    return {"seed": seed, "trials": _ORACLE_TRIALS, "failures": failures}
 
 
 def _root_counts(analysis: FanAnalysis) -> dict:
     """The report's root counts, read off `analysis.root_slices`. A root
     pairs to -1 with exactly one ray, so it lies in exactly one slice, and
-    the semisimple set holds each semisimple root once. Every unipotent root
-    is in U, and a semisimple one is when it pairs positively with `v`; the
-    in-U count is None off radiant fans."""
+    the semisimple set holds each semisimple root once. The in-U count is
+    None off radiant fans and needs no `v` on them: every unipotent root is
+    in U, and a semisimple one iff it pairs positively with `v`. The
+    semisimple set is closed under e -> -e (the pairs (a, b) and (b, a) of
+    equal-class rays both occur, with opposite e), and `choose_v` makes
+    <e, v> != 0 for each e in it, so exactly one of e and -e pairs
+    positively: half of the set is in U."""
     slices, semisimple = analysis.root_slices
     total = sum(map(len, slices))
     unipotent = total - len(semisimple)
     in_u = None
     if analysis.bilateral is not None:
-        in_u = unipotent + sum(1 for e in semisimple if _in_u(e, semisimple, analysis.v))
+        in_u = unipotent + len(semisimple) // 2
     return {
         "total": total,
         "semisimple": len(semisimple),

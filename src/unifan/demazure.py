@@ -8,7 +8,7 @@ from itertools import count, repeat
 from operator import add, sub
 
 from .classgroup import ClassTable
-from .fan import Fan
+from .fan import Fan, _bits
 from .linalg import IntVec, InvariantViolation, LinearSystem, lattice_points
 from .radiance import BilateralStructure
 
@@ -148,8 +148,8 @@ def _class_table_slices(
     support = [[t for t, x in enumerate(c) if x] for c in cls]
     slices: list[list[IntVec]] = [[] for _ in classes.classes]
     for tau in bilateral.negative:
-        unit = classes.class_of(tau)
-        slices[tau] = sorted(dual[i] for i, c in enumerate(cls) if c == unit)
+        same = classes.carriers[tau]
+        slices[tau] = sorted(dual[i] for i, u in enumerate(bilateral.positive) if same >> u & 1)
     for j, rho in enumerate(bilateral.positive):
         # Largest classes first, so the last level, emitted in bulk, is the longest.
         others = sorted((i for i in range(len(cls)) if i != j), key=lambda i: -sum(cls[i]))
@@ -197,14 +197,9 @@ def semisimple_roots(fan: Fan, bilateral: BilateralStructure, classes: ClassTabl
     """
     position = {ray: i for i, ray in enumerate(bilateral.positive)}
     zero = (0,) * fan.dim
-    by_class: dict[IntVec, list[int]] = {}
-    for ray in range(fan.num_rays):
-        by_class.setdefault(classes.class_of(ray), []).append(ray)
     found = []
-    for a in range(fan.num_rays):
-        for b in by_class[classes.class_of(a)]:
-            if b == a:
-                continue
+    for a, same in enumerate(classes.carriers):
+        for b in _bits(same & ~(1 << a)):
             minus = bilateral.dual_basis[position[a]] if a in position else zero
             plus = bilateral.dual_basis[position[b]] if b in position else zero
             e = tuple(y - x for x, y in zip(minus, plus))
@@ -254,20 +249,12 @@ def compute_precedence(
 ) -> frozenset[tuple[int, int]]:
     """The strict precedence order on rays, as the pairs (a, b) with a
     preceding b: equal classes, a negative and b positive, or both positive
-    with a earlier in the basis order."""
+    with a earlier in the basis order. A negative ray has no basis position,
+    so it reads as -1, before every positive one."""
     position = {ray: pos for pos, ray in enumerate(bilateral.positive)}
-    negatives = set(bilateral.negative)
-    by_class: dict[IntVec, list[int]] = {}
-    for ray in list(bilateral.positive) + list(bilateral.negative):
-        by_class.setdefault(classes.class_of(ray), []).append(ray)
-    pairs = set()
-    for carriers in by_class.values():
-        negs = [r for r in carriers if r in negatives]
-        pos = sorted((r for r in carriers if r not in negatives), key=position.get)
-        for tau in negs:
-            for eps in pos:
-                pairs.add((tau, eps))
-        for i in range(len(pos)):
-            for j in range(i + 1, len(pos)):
-                pairs.add((pos[i], pos[j]))
-    return frozenset(pairs)
+    return frozenset(
+        (a, b)
+        for b, after in position.items()
+        for a in _bits(classes.carriers[b])
+        if position.get(a, -1) < after
+    )

@@ -70,6 +70,11 @@ def ray_mask(rays) -> int:
     return out
 
 
+def _bits(mask: int) -> tuple[int, ...]:
+    """The set bits of a mask, ascending: the rays of a ray mask."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 @dataclass(frozen=True)
 class Fan:
     """A validated simplicial fan; geometry always derives from `rays`, the
@@ -192,7 +197,7 @@ def validate_fan(dim, rays, max_cones, require_complete: bool = False) -> Fan:
         if not all(_is_int(i) for i in raw):
             raise ValueError(f"cone {tuple(raw)} has a non-integer ray index")
         idx = tuple(sorted(set(raw)))
-        if len(idx) != len(set(raw)):
+        if len(idx) != len(raw):
             raise ValueError(f"repeated ray index in cone {tuple(raw)}")
         if any(i < 0 or i >= len(ray_vecs) for i in idx):
             raise ValueError(f"ray index out of range in cone {idx}")

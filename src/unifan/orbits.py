@@ -11,13 +11,14 @@ seeded random descents (`random_basic_subsets`), one path each.
 
 In the search, monoid membership needs no search per query. In a
 radiant class table every class that is not a unit vector belongs to a
-positive ray, so at most `dim` classes are not units; each distinct one gets
-a bit. A ray set S then has the key (U, q): U is the mask of the unit
-coordinates covered by its unit classes and q the mask of its non-unit
-classes. The antichain A(c, q) holds the minimal supports of the residuals
-c - sum a_i p_i >= 0 with every p_i in q, and c lies in the monoid of S iff
-some support in A(c, q) is a subset of U. Each A(c, q) is built on first use
-and kept for the life of one rule, so the draws of one oracle run share them.
+positive ray, so at most `dim` classes are not units; each gets the bit of
+its first ray, read off `ClassTable.carriers`. A ray set S then has the key
+(U, q): U is the mask of the unit coordinates covered by its unit classes
+and q the mask of its non-unit classes. The antichain A(c, q) holds the
+minimal supports of the residuals c - sum a_i p_i >= 0 with every p_i in q,
+and c lies in the monoid of S iff some support in A(c, q) is a subset of U.
+Each A(c, q) is built on first use and kept for the life of one rule, so
+the draws of one oracle run share them.
 """
 
 from __future__ import annotations
@@ -27,14 +28,9 @@ from functools import cache
 from typing import Iterator
 
 from .classgroup import ClassTable
-from .fan import Cone, Fan, _sort_key, ray_mask
+from .fan import Cone, Fan, _bits, _sort_key, ray_mask
 from .linalg import IntVec, InvariantViolation
 from .monoid import gamma_of_rayset, in_span, irreducibles, is_free
-
-
-def _bits(mask: int) -> tuple[int, ...]:
-    """The set bits of a mask, ascending."""
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 @dataclass(slots=True)
@@ -122,36 +118,32 @@ def _basic_subset_rule(classes: ClassTable, precedence: frozenset[tuple[int, int
     outside the monoid of S iff its coordinate is not in U. Each antichain is
     built on first use and kept for the life of the rule.
     """
-    d = len(classes.classes)
-    distinct = sorted(set(classes.classes))
-    class_id = [distinct.index(c) for c in classes.classes]
-    non_units = [c for c in distinct if sum(c) != 1]
+    cls, carriers = classes.classes, classes.carriers
+    d = len(cls)
     unit_bit = [0] * d  # the coordinate of a unit class
     unit_rays = [0] * d  # the rays of that unit class
-    q_bit = [0] * d  # the bit of a non-unit class
-    carriers: dict[int, int] = {}  # non-unit class id -> its rays
-    for r, c in enumerate(classes.classes):
-        same = ray_mask(s for s in range(d) if class_id[s] == class_id[r])
+    q_bit = [0] * d  # the bit of a non-unit class: its first ray
+    for r, c in enumerate(cls):
         if sum(c) == 1:
-            unit_bit[r], unit_rays[r] = _support(c), same
+            unit_bit[r], unit_rays[r] = _support(c), carriers[r]
         else:
-            q_bit[r], carriers[class_id[r]] = 1 << non_units.index(c), same
+            q_bit[r] = carriers[r] & -carriers[r]
     every_unit_ray = ray_mask(r for r in range(d) if unit_bit[r])
+    firsts = [r for r in range(d) if q_bit[r] == 1 << r]  # one ray per non-unit class
     predecessors = [0] * d
     for a, b in precedence:
         predecessors[b] |= 1 << a
 
-    antichains: dict[int, dict[int, tuple[int, ...]]] = {}  # q -> class id -> A
+    antichains: dict[int, dict[IntVec, tuple[int, ...]]] = {}  # q -> class -> A
 
-    def member(c: int, units: int, q: int) -> bool:
+    def member(c: IntVec, units: int, q: int) -> bool:
         """Whether class c lies in the monoid of key (units, q)."""
         chains = antichains.get(q)
         if chains is None:
             chains = antichains[q] = {}
         chain = chains.get(c)
         if chain is None:
-            gens = [non_units[i] for i in _bits(q)]
-            chain = chains[c] = _antichain(distinct[c], gens)
+            chain = chains[c] = _antichain(c, [cls[i] for i in _bits(q)])
         for m in chain:
             if m & units == m:
                 return True
@@ -160,9 +152,9 @@ def _basic_subset_rule(classes: ClassTable, precedence: frozenset[tuple[int, int
     def expand(node):
         mask, members, units, covered, q, preceding, start = node
         outside = every_unit_ray & ~covered
-        for c, rays in carriers.items():
-            if not member(c, units, q):
-                outside |= rays
+        for r in firsts:
+            if not member(cls[r], units, q):
+                outside |= carriers[r]
         children = []
         candidates = outside >> start << start
         while candidates:
@@ -170,7 +162,7 @@ def _basic_subset_rule(classes: ClassTable, precedence: frozenset[tuple[int, int
             candidates ^= 1 << x
             units_x, q_x = units | unit_bit[x], q | q_bit[x]
             for r in members:
-                if member(class_id[r], units_x, q_x & ~q_bit[r]):
+                if member(cls[r], units_x, q_x & ~q_bit[r]):
                     break
             else:
                 children.append(
@@ -246,9 +238,9 @@ def non_free_witness(fan: Fan, classes: ClassTable):
     together with that monoid's irreducibles; None when all are free.
 
     Freeness depends only on the generator set, and many cones share one,
-    so each distinct set is tested once. A cone's set is keyed by the mask
-    of the distinct classes outside it: a class drops out exactly when the
-    cone holds all of its carriers.
+    so each distinct set is tested once. A class drops out of a cone's set
+    exactly when the cone holds all of its carriers (`ClassTable.carriers`),
+    so the set is keyed by the union of the carriers the cone holds in full.
 
     Only the cones with 0 < size < dim are tested; on a radiant class table
     the others are free. The empty cone's monoid holds every class, the k
@@ -259,22 +251,17 @@ def non_free_witness(fan: Fan, classes: ClassTable):
     Cl_Q, of rank k, so they are independent, and so are the irreducibles
     among them.
     """
-    distinct = sorted(set(classes.classes))
-    class_bit = [1 << distinct.index(c) for c in classes.classes]
-    carriers = {}
-    for r, bit in enumerate(class_bit):
-        carriers[bit] = carriers.get(bit, 0) | 1 << r
-    every = (1 << len(distinct)) - 1
+    carriers = classes.carriers
     free: set[int] = set()
     for inside, cone in fan.all_cones.items():
         if len(cone) == fan.dim:
             break  # (size, lex) order: only maximal cones are left
         if not inside:
             continue
-        key = every
+        key = 0
         for r in cone.ray_indices:
-            if not carriers[class_bit[r]] & ~inside:
-                key &= ~class_bit[r]
+            if not carriers[r] & ~inside:
+                key |= carriers[r]
         if key in free:
             continue
         complement = [r for r in range(fan.num_rays) if not inside >> r & 1]

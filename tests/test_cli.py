@@ -67,6 +67,19 @@ class TestAnalyze:
         assert code == 2
         assert json.loads(out)["error"]["kind"] == "NotComplete"
 
+    def test_repeated_ray_index_error(self, capsys, tmp_path):
+        f = tmp_path / "repeated.json"
+        f.write_text(
+            json.dumps(
+                {"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 0, 1], [1, 2], [2, 0]]}
+            )
+        )
+        code, out = run(capsys, "analyze", str(f))
+        assert code == 2
+        assert json.loads(out) == {
+            "error": {"kind": "ValueError", "message": "repeated ray index in cone (0, 0, 1)"}
+        }
+
     def test_schema_error(self, capsys, tmp_path):
         f = tmp_path / "broken.json"
         f.write_text(json.dumps({"dim": 2, "rays": [[1, 0]]}))

@@ -1,5 +1,7 @@
 from dataclasses import dataclass, fields, replace
+from functools import reduce
 from itertools import count, product
+from operator import or_
 
 import pytest
 
@@ -21,6 +23,7 @@ from unifan.pipeline import FanAnalysis, analyze_fan
 from unifan.radiance import find_bilateral
 
 from conftest import (
+    CERTIFICATE_CORPORA,
     FAMILY_SPECS,
     NON_RADIANT_CORPORA,
     RADIANT_FIXTURES,
@@ -341,6 +344,131 @@ class TestSemisimpleRootsRobustness:
                         semisimple_roots(fan, bilateral, corrupted(classes, a, b))
                     merged += 1
         assert merged > 0 or spec == "pn:2"
+
+
+def reference_semisimple_roots(fan, bilateral, classes) -> list[IntVec]:
+    """Semisimple roots of a radiant fan, one per ordered pair of distinct
+    rays (a, b) of equal class, in (a, b) order.
+
+    The class table of a radiant fan is exact (the positive rays are a
+    lattice basis, so Cl is free), so equal classes make D_b - D_a principal:
+    it is div of the character e with <e, a> = -1, <e, b> = 1 and 0 on every
+    other ray, read off the dual basis. The pairings are checked against the
+    rays, so a class table that merges two classes raises.
+    """
+    position = {ray: i for i, ray in enumerate(bilateral.positive)}
+    zero = (0,) * fan.dim
+    by_class: dict[IntVec, list[int]] = {}
+    for ray in range(fan.num_rays):
+        by_class.setdefault(classes.class_of(ray), []).append(ray)
+    found = []
+    for a in range(fan.num_rays):
+        for b in by_class[classes.class_of(a)]:
+            if b == a:
+                continue
+            minus = bilateral.dual_basis[position[a]] if a in position else zero
+            plus = bilateral.dual_basis[position[b]] if b in position else zero
+            e = tuple(y - x for x, y in zip(minus, plus))
+            for ray, vector in enumerate(fan.rays):
+                if _dot(e, vector) != (-1 if ray == a else 1 if ray == b else 0):
+                    raise InvariantViolation(
+                        f"rays {a} and {b} share a class but no character "
+                        f"has divisor D_{b} - D_{a}"
+                    )
+            found.append(e)
+    return found
+
+
+def reference_compute_precedence(bilateral, classes) -> frozenset[tuple[int, int]]:
+    """The strict precedence order on rays, as the pairs (a, b) with a
+    preceding b: equal classes, a negative and b positive, or both positive
+    with a earlier in the basis order."""
+    position = {ray: pos for pos, ray in enumerate(bilateral.positive)}
+    negatives = set(bilateral.negative)
+    by_class: dict[IntVec, list[int]] = {}
+    for ray in list(bilateral.positive) + list(bilateral.negative):
+        by_class.setdefault(classes.class_of(ray), []).append(ray)
+    pairs = set()
+    for carriers in by_class.values():
+        negs = [r for r in carriers if r in negatives]
+        pos = sorted((r for r in carriers if r not in negatives), key=position.get)
+        for tau in negs:
+            for eps in pos:
+                pairs.add((tau, eps))
+        for i in range(len(pos)):
+            for j in range(i + 1, len(pos)):
+                pairs.add((pos[i], pos[j]))
+    return frozenset(pairs)
+
+
+_dot = pairing  # the name `reference_semisimple_roots` uses, as in `demazure`
+
+
+# Every corpus the class-table readers are checked on: the certificate
+# corpora (family specs, fixtures, random surfaces, small products, the
+# Smith-form surfaces, the box surfaces) and the products above.
+CLASS_TABLE_CORPORA = {
+    **CERTIFICATE_CORPORA,
+    "PRODUCTS": lambda: [build() for build in PRODUCTS.values()],
+}
+
+
+def radiant_tables(name):
+    """(fan, bilateral structure, class table) of each radiant fan of a corpus."""
+    for fan in CLASS_TABLE_CORPORA[name]():
+        bilateral = find_bilateral(fan)
+        if bilateral is not None:
+            yield fan, bilateral, radiant_classes(fan, bilateral)
+
+
+class TestCarriersAgainstReference:
+    """The readers of `ClassTable.carriers` equal the per-function class
+    groupings they replace, the semisimple roots in list order too."""
+
+    @pytest.mark.parametrize("name", sorted(CLASS_TABLE_CORPORA))
+    def test_corpus(self, name):
+        radiant = 0
+        for fan, bilateral, classes in radiant_tables(name):
+            assert semisimple_roots(fan, bilateral, classes) == reference_semisimple_roots(
+                fan, bilateral, classes
+            ), fan.rays
+            assert compute_precedence(bilateral, classes) == reference_compute_precedence(
+                bilateral, classes
+            ), fan.rays
+            radiant += 1
+        assert radiant > 0 or name == "smith_path"
+
+
+class TestClassTableCarriers:
+    @pytest.mark.parametrize("name", sorted(CLASS_TABLE_CORPORA))
+    def test_partition_by_class(self, name):
+        """The distinct masks partition the rays, two rays share a mask iff
+        they share a class, and a `replace` copy with a merged class gets its
+        own index, so the merge reaches `semisimple_roots`."""
+        for fan, bilateral, classes in radiant_tables(name):
+            carriers = classes.carriers
+            assert carriers is classes.carriers
+            distinct = set(carriers)
+            assert sum(m.bit_count() for m in distinct) == fan.num_rays
+            assert reduce(or_, distinct) == (1 << fan.num_rays) - 1
+            for a in range(fan.num_rays):
+                assert carriers[a] >> a & 1
+                for b in range(fan.num_rays):
+                    same = classes.class_of(a) == classes.class_of(b)
+                    assert (carriers[a] == carriers[b]) == same
+            apart = [
+                (a, b)
+                for a in range(fan.num_rays)
+                for b in range(fan.num_rays)
+                if classes.class_of(a) != classes.class_of(b)
+            ]
+            if apart:
+                a, b = apart[0]
+                merged = corrupted(classes, a, b)
+                assert merged.carriers[b] == carriers[a] | 1 << b
+                with pytest.raises(InvariantViolation, match="share a class"):
+                    semisimple_roots(fan, bilateral, merged)
+                assert classes.carriers is carriers
 
 
 def forbidden(name):

@@ -97,6 +97,11 @@ class TestValidateFan:
         assert fan.max_cones == reference.max_cones
         assert fan.all_cones == reference.all_cones
 
+    def test_repeated_ray_index(self):
+        # a cone that lists a ray twice is rejected, not merged into cone (0, 1)
+        with pytest.raises(ValueError, match=re.escape("repeated ray index in cone (0, 0, 1)")):
+            validate_fan(2, [(1, 0), (0, 1), (-1, -1)], [[0, 0, 1], [1, 2], [2, 0]])
+
     def test_require_complete(self):
         with pytest.raises(NotComplete):
             validate_fan(2, [(1, 0), (0, 1)], [[0, 1]], require_complete=True)
