@@ -3,16 +3,13 @@ lines, those that are neither blank, nor part of a docstring, nor comment
 only. Docstring lines are found with `ast` (the string that opens a module,
 class or function body), comment-only lines with `tokenize`.
 
-Usage: python tools/code_lines.py [PATH ...]
-
-Each PATH is a module or a directory of modules; the default is src/unifan.
+Usage: python tools/code_lines.py
 """
 
 from __future__ import annotations
 
 import ast
 import io
-import sys
 import tokenize
 from pathlib import Path
 
@@ -46,16 +43,9 @@ def code_lines(text: str) -> int:
     return len(code - docstring_lines(ast.parse(text)))
 
 
-def modules(paths: list[Path]) -> list[Path]:
-    found = []
-    for path in paths:
-        found += sorted(path.glob("*.py")) if path.is_dir() else [path]
-    return found
-
-
-def main(argv: list[str]) -> None:
+def main() -> None:
     rows = []
-    for path in modules([Path(p) for p in argv] or [DEFAULT]):
+    for path in sorted(DEFAULT.glob("*.py")):
         text = path.read_text(encoding="utf-8")
         rows.append((path.name, text.count("\n"), code_lines(text)))
     rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
@@ -66,4 +56,4 @@ def main(argv: list[str]) -> None:
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()
