@@ -13,7 +13,7 @@ from operator import mul
 from . import __version__
 from .families import InvalidSpec, NotApplicable, build, cross_check, parse_family
 from .fan import Fan, FanError, _is_int, validate_fan
-from .linalg import InvariantViolation
+from .linalg import InvariantViolation, TooLarge
 from .orbits import enumerate_basic_subsets, random_basic_subsets, with_membership
 from .pipeline import FanAnalysis, analyze_fan
 
@@ -123,14 +123,17 @@ def report_json(report: dict, roots=None, v=None) -> str:
     `roots` is the pair (slices, semisimple) of `FanAnalysis.root_slices`
     and `v` the chosen defining vector, None off radiant fans. The roots are
     written per ray (`_root_list_chunks`), so no record or per-root dict is
-    built. All the chunks of the report go into one flat list that is
-    joined once.
+    built, and the `orbits` block by `_orbit_chunks`. All the chunks of the
+    report go into one flat list that is joined once.
     """
     chunks = ["{"]
     sep = "\n  "
     for key, value in report.items():
         chunks += (sep, _encode_str(key), ": ")
         sep = ",\n  "
+        if key == "orbits":
+            _orbit_chunks(value, chunks)
+            continue
         if key != "roots":
             chunks.append(_json_text(value, "  "))
             continue
@@ -189,6 +192,58 @@ def _root_list_chunks(slices, semisimple, v, chunks: list) -> None:
     else:
         chunks[first + 1] = chunks[first + 1][1:]  # no comma before the first root
         chunks.append("\n    ]")
+
+
+_RECORD_HEAD = (
+    '%s{\n        "rays": %s,\n        "hat": %s,\n        "dimension": %s,'
+    '\n        "t_orbit_cones": '
+)
+
+
+def _orbit_chunks(orbits: dict, chunks: list) -> None:
+    """Append the text `_json_text(orbits, "  ")` of the report's `orbits`
+    block to `chunks`, one chunk per record head and per torus-orbit cone.
+
+    A record's `rays`, `hat` and `dimension` go through `_json_text`. Each
+    cone, a tuple of ray indices, fills the `%` template of its length,
+    built once per call, with the separator before it; length 0 is the
+    empty cone, written `[]`. The block needs no 2^53 check: every int in it
+    is a ray index (a list position) or a dimension of at most `fan.dim`.
+    """
+    lead = "{"
+    for name, value in orbits.items():
+        chunks += (lead, "\n    ", _encode_str(name), ": ")
+        lead = ","
+        if name != "records" or not value:
+            chunks.append(_json_text(value, "    "))
+            continue
+        longest = max(map(len, chain.from_iterable(r["t_orbit_cones"] for r in value)), default=0)
+        templates = [",\n          []"] + [
+            ",\n          [\n" + ",\n".join(["            %d"] * n) + "\n          ]"
+            for n in range(1, longest + 1)
+        ]
+        sep = "[\n      "
+        for rec in value:
+            chunks.append(
+                _RECORD_HEAD
+                % (
+                    sep,
+                    _json_text(rec["rays"], "        "),
+                    _json_text(rec["hat"], "        "),
+                    _json_text(rec["dimension"], "        "),
+                )
+            )
+            sep = ",\n      "
+            cones = rec["t_orbit_cones"]
+            if not cones:
+                chunks.append("[]\n      }")
+                continue
+            first = len(chunks)
+            chunks += [templates[len(c)] % c for c in cones]
+            chunks[first] = "[" + chunks[first][1:]  # no comma before the first cone
+            chunks.append("\n        ]\n      }")
+        chunks.append("\n    ]")
+    chunks.append("\n  }")
 
 
 def _verdict_payload(verdict) -> dict:
@@ -383,7 +438,7 @@ def build_report(analysis: FanAnalysis, include_orbits, check, seed):
                     "rays": list(rec.basic.rays),
                     "hat": list(rec.basic.hat),
                     "dimension": rec.dimension,
-                    "t_orbit_cones": [list(c.ray_indices) for c in rec.t_orbit_cones],
+                    "t_orbit_cones": [c.ray_indices for c in rec.t_orbit_cones],
                 }
                 for rec in analysis.catalog
             ],
@@ -459,7 +514,7 @@ def render_text(report: dict) -> str:
     if "orbits" in report:
         lines.append("orbit catalog (dimension is derived as dim - |hat|):")
         for rec in report["orbits"]["records"]:
-            cones = ", ".join(str(tuple(c)) for c in rec["t_orbit_cones"])
+            cones = ", ".join(str(c) for c in rec["t_orbit_cones"])
             lines.append(
                 f"  orbit dim {rec['dimension']}: rays {rec['rays']}, "
                 f"hat {rec['hat']}, torus-orbit cones [{cones}]"
@@ -506,7 +561,7 @@ def cmd_analyze(args) -> int:
         report = build_report(
             analysis, include_orbits=args.orbits, check=args.check, seed=args.seed
         )
-    except InvariantViolation as exc:
+    except (InvariantViolation, TooLarge) as exc:
         return _emit_error(exc)
     if args.format == "json":
         print(report_json(report, analysis.root_slices if args.roots else None, analysis.v))

@@ -3,13 +3,14 @@ and the precedence order on rays."""
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import count, repeat
 from operator import add, sub
 
 from .classgroup import ClassTable
 from .fan import Fan, _bits
-from .linalg import IntVec, InvariantViolation, LinearSystem, lattice_points
+from .linalg import IntVec, InvariantViolation, LinearSystem, TooLarge, lattice_points
 from .radiance import BilateralStructure
 
 
@@ -139,6 +140,10 @@ def _class_table_slices(
     walk whose every leaf is a root, finite because no class is zero. At a
     negative ray the sum must equal its unit class, so its roots are the
     dual[i] of the u_i of that class: the equal-class pairs.
+
+    A level whose `top` is sys.maxsize or more raises `TooLarge`: it takes
+    top + 1 steps and each step's subtree holds at least one leaf, so the
+    slice has more roots than any Python list can hold.
     """
     dual = bilateral.dual_basis
     cls = [classes.class_of(ray) for ray in bilateral.positive]
@@ -162,6 +167,8 @@ def _class_table_slices(
             i = others[level]
             c, d = cls[i], dual[i]
             top = min(budget[t] // c[t] for t in support[i])
+            if top >= sys.maxsize:
+                raise TooLarge(f"the Demazure roots at ray {rho} do not fit in a list")
             if level == len(others) - 1:
                 # e, e + d, ..., e + top*d, built one coordinate column at a time
                 columns = (

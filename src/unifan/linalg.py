@@ -38,6 +38,10 @@ class InvariantViolation(Exception):
     """A mathematical invariant of the analysis failed: a bug, not bad input."""
 
 
+class TooLarge(Exception):
+    """An exact result has more entries than a Python list can hold."""
+
+
 def _gcd_many(values) -> int:
     g = 0
     for x in values:

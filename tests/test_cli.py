@@ -249,6 +249,24 @@ class TestAnalyze:
         assert "orbits" not in report
 
 
+def _cap_memory():
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def analyze_capped(*args) -> subprocess.CompletedProcess:
+    """`unifan analyze` in a child process with a 1 GiB address-space limit
+    and a 20 s timeout."""
+    return subprocess.run(
+        [sys.executable, "-m", "unifan", "analyze", *args],
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(unifan.__file__))},
+        preexec_fn=_cap_memory,
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+
+
 class TestHostileInput:
     def test_one_cone_of_dimension_30_is_rejected_without_its_faces(self, tmp_path):
         """Validation reads the maximal cones only: the 2^30 faces of the one
@@ -256,23 +274,34 @@ class TestHostileInput:
         path = tmp_path / "one_cone_30.json"
         rays = [[int(i == j) for j in range(30)] for i in range(30)]
         path.write_text(json.dumps({"dim": 30, "rays": rays, "max_cones": [list(range(30))]}))
-        limit = 1 << 30
-
-        def cap_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "unifan", "analyze", str(path)],
-            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(unifan.__file__))},
-            preexec_fn=cap_memory,
-            capture_output=True,
-            text=True,
-            timeout=20,
-        )
+        proc = analyze_capped(str(path))
         assert proc.returncode == 2, proc.stderr
         assert json.loads(proc.stdout)["error"] == {
             "kind": "NotComplete",
             "message": "the fan does not cover the ambient space",
+        }
+
+    @pytest.mark.parametrize(
+        "source",
+        ["wps:1,1,99999999999999999999999", "hirzebruch:99999999999999999999999", "file"],
+    )
+    def test_unlistable_root_slice_is_too_large(self, tmp_path, source):
+        """Each fan has a ray with about 10^23 Demazure roots, more than a
+        list can hold: the default report, which counts them off the slices,
+        exits 2 with a `TooLarge` error object instead of a traceback."""
+        if source == "file":
+            path = tmp_path / "three_rays.json"
+            rays = [[1, 0], [0, 1], [-1, -(10**23)]]
+            path.write_text(json.dumps({"dim": 2, "rays": rays, "max_cones": [[0, 1], [1, 2], [2, 0]]}))
+            args = [str(path)]
+        else:
+            args = ["--family", source]
+        proc = analyze_capped(*args, "--format", "json")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["error"] == {
+            "kind": "TooLarge",
+            "message": "the Demazure roots at ray 1 do not fit in a list",
         }
 
 
@@ -430,6 +459,35 @@ class TestRootReportPins:
             ),
         ],
         ids=["wps-1-1-2-4-8-check", "pn-3", "wps-1-1-2-4-8-16-32-64"],
+    )
+    def test_report_digest(self, capsys, argv, digest):
+        code, out = run(capsys, "analyze", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+class TestOrbitReportPins:
+    """SHA-256 of whole `--orbits` reports, recorded with `_json_text` over
+    the whole `orbits` block, before it had its own writer; the text report
+    pins the torus-orbit cones printed as tuples."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["--family", "pn:8", "--format", "json", "--orbits"],
+                "8a06d22943618928d0c37b8cbb2fcf2adf2c3812fcfe07e9b5d22f769370b0b6",
+            ),
+            (
+                ["--family", "wps:1,1,2,4,8,16", "--format", "json", "--orbits", "--check"],
+                "7d655dce58501e280e1864144401b56a4d40ce660adebd339a5cc4c7592b50cd",
+            ),
+            (
+                ["--family", "hirzebruch:3", "--orbits"],
+                "b23693057e0e20afde457db34113300d91602b2ca06d12d1c9446309b7f46218",
+            ),
+        ],
+        ids=["pn-8", "wps-1-1-2-4-8-16-check", "hirzebruch-3-text"],
     )
     def test_report_digest(self, capsys, argv, digest):
         code, out = run(capsys, "analyze", *argv)

@@ -1,3 +1,4 @@
+import sys
 from dataclasses import dataclass, fields, replace
 from functools import reduce
 from itertools import count, product
@@ -18,7 +19,14 @@ from unifan.demazure import (
     mark_membership,
     semisimple_roots,
 )
-from unifan.linalg import IntVec, InvariantViolation, LinearSystem, feasible, lattice_points
+from unifan.linalg import (
+    IntVec,
+    InvariantViolation,
+    LinearSystem,
+    TooLarge,
+    feasible,
+    lattice_points,
+)
 from unifan.pipeline import FanAnalysis, analyze_fan
 from unifan.radiance import find_bilateral
 
@@ -328,6 +336,20 @@ class TestClassTableRobustness:
         for ray in bilateral.positive:
             with pytest.raises(InvariantViolation, match=f"class of ray {ray} is zero"):
                 enumerate_roots(fan, bilateral, zeroed(classes, ray))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [f"wps:1,1,{sys.maxsize}", "wps:1,1,99999999999999999999999", "hirzebruch:99999999999999999999999"],
+    )
+    def test_unlistable_slice_raises_too_large(self, spec):
+        """Ray 1's slice holds at least sys.maxsize + 1 roots (exactly that
+        many on the first fan), more than a list can hold. The verdict reads
+        no root, so only the root reads raise."""
+        analysis = analyze_fan(family(spec))
+        assert analysis.verdict.finite
+        for name in ("root_slices", "v", "roots"):
+            with pytest.raises(TooLarge, match="roots at ray 1 do not fit in a list"):
+                getattr(analysis, name)
 
 
 class TestSemisimpleRootsRobustness:

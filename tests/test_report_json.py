@@ -164,6 +164,72 @@ class TestRootListAgainstReference:
         assert assert_corpus([family(spec)]) > 500
 
 
+def finite_analyses(fans):
+    analyses = [analyze_fan(fan) for fan in fans]
+    return [a for a in analyses if a.verdict.finite]
+
+
+class TestOrbitBlockAgainstReference:
+    """`report_json` writes the `orbits` block with one `%` template per
+    cone length; the reference is `json.dumps` of the report, on every
+    finite fan of the corpora, with and without `--check`."""
+
+    @staticmethod
+    def assert_orbit_reports(analyses) -> int:
+        cones = 0
+        for analysis in analyses:
+            for check in (False, True):
+                report = build_report(analysis, True, check, seed=5)
+                assert is_plain_tree(report)
+                assert report_json(report) == reference_text(report)
+            cones += sum(len(r["t_orbit_cones"]) for r in report["orbits"]["records"])
+        return cones
+
+    def test_family_specs(self):
+        analyses = finite_analyses(family(spec) for spec in FAMILY_SPECS)
+        assert self.assert_orbit_reports(analyses) > 0
+
+    def test_random_surfaces(self):
+        analyses = finite_analyses(random_surfaces())
+        assert self.assert_orbit_reports(analyses) > 0
+
+    def test_products(self):
+        analyses = finite_analyses(PRODUCTS[name]() for name in sorted(PRODUCTS))
+        assert self.assert_orbit_reports(analyses) == 729 + 27 + 21
+
+    def test_roots_workload(self):
+        analyses = finite_analyses(family(spec) for spec in ROOTS_WORKLOAD)
+        assert self.assert_orbit_reports(analyses) > 0
+
+
+# name -> records of a hand-made `orbits` block
+HAND_MADE_ORBITS = {
+    "no-records": [],
+    "empty-cone-first": [
+        {"rays": [0, 1], "hat": [], "dimension": 2, "t_orbit_cones": [(), (0,), (1,), (0, 1)]},
+    ],
+    "one-ray-cones": [
+        {"rays": [1], "hat": [0], "dimension": 1, "t_orbit_cones": [(0,), (0, 2)]},
+        {"rays": [0, 2], "hat": [1], "dimension": 1, "t_orbit_cones": [(1,)]},
+    ],
+    "hat-is-the-cone": [
+        {"rays": [2, 3], "hat": [0, 1], "dimension": 0, "t_orbit_cones": [(0, 1)]},
+        {"rays": [], "hat": [0, 1, 2], "dimension": 0, "t_orbit_cones": [(0, 1, 2)]},
+    ],
+    "mixed-lengths": [
+        {"rays": [], "hat": [], "dimension": 3, "t_orbit_cones": [(), (4,), (1, 2, 3), (10, 11)]},
+        {"rays": [5], "hat": [6], "dimension": 2, "t_orbit_cones": []},
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_MADE_ORBITS))
+def test_hand_made_orbit_blocks(name):
+    report = build_report(analyze_fan(family("hirzebruch:2")), True, True, seed=0)
+    report["orbits"]["records"] = HAND_MADE_ORBITS[name]
+    assert report_json(report) == reference_text(report)
+
+
 # name -> (slices, semisimple set, v or None off radiant fans)
 HAND_MADE_ROOTS = {
     "empty": ([], frozenset(), None),
