@@ -262,10 +262,21 @@ def _verdict_payload(verdict) -> dict:
 
 def _numerator(rng) -> int:
     """Draw the rational p/q of `coxspace.random_rational` and keep only p,
-    which is zero iff the rational is."""
-    p = rng.randint(-9, 9)
-    rng.randint(1, 9)
-    return p
+    which is zero iff the rational is.
+
+    The draws are the `getrandbits` words that CPython's `randint` reads
+    (`_randbelow_with_getrandbits`): for p = `randint(-9, 9)`, 5-bit words
+    until one is below 19, minus 9; for q = `randint(1, 9)`, 4-bit words
+    until one is below 9. The generator ends in the state `random_rational`
+    leaves, which `TestDrawsInLockstep` and `TestZeroMasksInLockstep` check.
+    """
+    bits = rng.getrandbits
+    p = bits(5)
+    while p >= 19:
+        p = bits(5)
+    while bits(4) >= 9:
+        pass
+    return p - 9
 
 
 def _nonzero_draw(rng) -> None:
@@ -303,7 +314,7 @@ def _monomial_rays(fan: Fan, rho: int, e) -> int:
             continue
         exponent = sum(a * b for a, b in zip(e, vector))
         if exponent < 0:
-            raise ValueError("root pairs negatively with a non-distinguished ray")
+            raise InvariantViolation("root pairs negatively with a non-distinguished ray")
         if exponent:
             reads |= 1 << ray
     return reads
@@ -334,7 +345,11 @@ def _oracle_check(analysis: FanAnalysis, seed: int) -> dict:
     exact arithmetic and is not simulated; its draws are still made, so the
     stream, and with it every trial, is the one the rational simulator in
     `coxspace` draws: per trial the basic subset, the point, the root and
-    s, then the torus.
+    s, then the torus. Each rational is drawn as the `getrandbits` words
+    that `randint` reads (see `_numerator`), not through `randint`; the
+    lockstep tests of `tests/test_oracle.py` check that the generator's
+    state stays the simulator's after every draw and trial. Each picked
+    root's monomial mask is found once per call.
     """
     if analysis.bilateral is None:
         return {"seed": seed, "trials": 0, "failures": 0}
@@ -360,15 +375,19 @@ def _oracle_check(analysis: FanAnalysis, seed: int) -> dict:
         for e in found
         if _in_u(e, semisimple, analysis.v)
     ]
+    monomials = {}  # (rho, e) -> its `_monomial_rays`, found when first picked
     failures = 0
     for basic in islice(draws, _ORACLE_TRIALS):
         zeros = _stratum_zeros(fan.num_rays, basic, rng)
         frozen = basic.rays_mask | basic.hat_mask
         candidates = [root for root in in_u_roots if frozen >> root[0] & 1]
         if candidates:
-            rho, e = rng.choice(candidates)
+            root = rng.choice(candidates)
             _nonzero_draw(rng)
-            if not zeros & _monomial_rays(fan, rho, e):
+            reads = monomials.get(root)
+            if reads is None:
+                reads = monomials[root] = _monomial_rays(fan, *root)
+            if not zeros & reads:
                 failures += 1
         for _ in range(analysis.classes.k):
             _nonzero_draw(rng)
@@ -613,7 +632,13 @@ def make_parser() -> argparse.ArgumentParser:
         "--check", action="store_true", help="run the classification cross-check"
     )
     analyze.add_argument(
-        "--seed", type=int, default=0, help="seed for the property-oracle spot checks"
+        "--seed",
+        type=int,
+        default=0,
+        help=(
+            "seed for the property-oracle spot checks; a negative seed runs "
+            "the trials of its absolute value"
+        ),
     )
     analyze.set_defaults(func=cmd_analyze)
 

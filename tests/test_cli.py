@@ -13,6 +13,7 @@ import unifan.demazure
 from unifan.cli import fan_file_payload, main, make_parser
 from unifan.fan import validate_fan
 from unifan.orbits import enumerate_basic_subsets
+from unifan.pipeline import analyze_fan
 from unifan.radiance import BilateralStructure
 
 from conftest import RADIANT_FIXTURES, del_pezzo6
@@ -179,6 +180,26 @@ class TestAnalyze:
         error = json.loads(out)["error"]
         assert error["kind"] == "InvariantViolation"
         assert "catalog differs" in error["message"]
+
+    def test_check_negative_pairing_is_an_error_object(self, capsys, monkeypatch):
+        """A root slice holding a root that pairs negatively with a
+        non-distinguished ray makes `--check` exit 2, not raise."""
+
+        def bad_roots(fan):
+            analysis = analyze_fan(fan)
+            # Rays (1, 0), (0, 1), (-1, -1): e pairs to -1 with rays 0 and 1.
+            vars(analysis)["root_slices"] = ([[(-1, -1)], [], []], frozenset())
+            return analysis
+
+        monkeypatch.setattr("unifan.cli.analyze_fan", bad_roots)
+        code, out = run(capsys, "analyze", "--family", "pn:2", "--format", "json", "--check")
+        assert code == 2
+        assert json.loads(out) == {
+            "error": {
+                "kind": "InvariantViolation",
+                "message": "root pairs negatively with a non-distinguished ray",
+            }
+        }
 
     def test_class_table_invariant_is_an_error_object(self, capsys, monkeypatch):
         bogus = BilateralStructure(

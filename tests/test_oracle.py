@@ -11,7 +11,8 @@ verbatim: one enumerated every basic subset of every radiant fan
 (`reference_oracle_check`), the other drew them by descent and simulated
 every trial on `Fraction` points (`descent_reference_oracle_check`). The
 oracle draws only zero masks; it is checked in lockstep against the
-`coxspace` simulator, draw by draw, on one seeded stream per path.
+`coxspace` simulator, draw by draw, on one seeded stream per path, and
+its rationals, read as raw `getrandbits` words, against `random_rational`.
 """
 
 import json
@@ -27,7 +28,14 @@ import pytest
 import unifan
 import unifan.cli
 from unifan import validate_fan
-from unifan.cli import _monomial_rays, _nonzero_draw, _oracle_check, _stratum_zeros, main
+from unifan.cli import (
+    _monomial_rays,
+    _nonzero_draw,
+    _numerator,
+    _oracle_check,
+    _stratum_zeros,
+    main,
+)
 from unifan.coxspace import apply_root, apply_torus, random_rational, random_stratum_point
 from unifan.demazure import DemazureRoot
 from unifan.fan import ray_mask
@@ -353,9 +361,50 @@ class TestOracleAgainstReference:
         bad = DemazureRoot(e=(-1, -1), distinguished_ray=0, semisimple=False, in_u=True)
         monkeypatch.setitem(vars(analysis), "roots", [bad])
         monkeypatch.setitem(vars(analysis), "root_slices", ([[bad.e], [], []], frozenset()))
-        for check in (_oracle_check, reference_oracle_check, descent_reference_oracle_check):
-            with pytest.raises(ValueError, match="pairs negatively with a non-distinguished ray"):
+        message = "pairs negatively with a non-distinguished ray"
+        with pytest.raises(InvariantViolation, match=message):
+            _oracle_check(analysis, 0)
+        for check in (reference_oracle_check, descent_reference_oracle_check):
+            with pytest.raises(ValueError, match=message):
                 check(analysis, 0)
+
+    @pytest.mark.parametrize("corpus", sorted(CORPORA))
+    def test_each_monomial_is_found_once(self, corpus, monkeypatch):
+        """One `_oracle_check` run finds the monomial mask of each in-U root
+        at most once, however often its trials pick that root."""
+        calls = []
+
+        def counted(fan, rho, e):
+            calls.append((rho, e))
+            return _monomial_rays(fan, rho, e)
+
+        monkeypatch.setattr(unifan.cli, "_monomial_rays", counted)
+        found = 0
+        for analysis in analyses(corpus):
+            for seed in (0, 9):
+                calls.clear()
+                _oracle_check(analysis, seed)
+                assert len(calls) == len(set(calls)), calls
+                found += len(calls)
+        assert found
+
+
+class TestDrawsInLockstep:
+    """`_numerator` and `_nonzero_draw` read the `getrandbits` words that
+    `randint` reads, so each leaves the generator in the state that
+    `random_rational` leaves, on every seed."""
+
+    def test_against_random_rational(self):
+        for seed in range(1000):
+            fast, slow = random.Random(seed), random.Random(seed)
+            for _ in range(4):
+                p = _numerator(fast)
+                assert (p == 0) == (random_rational(slow) == 0)
+                assert -9 <= p <= 9
+                assert fast.getstate() == slow.getstate()
+                _nonzero_draw(fast)
+                random_rational(slow, nonzero=True)
+                assert fast.getstate() == slow.getstate()
 
 
 class TestZeroMasksInLockstep:
