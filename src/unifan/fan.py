@@ -269,9 +269,11 @@ def is_complete(fan: Fan, dets=None) -> bool:
            on every ray of tau. Then m_i <= 0 on tau, but m_i(q) = 1. The
            sign of m_i(r) is that of d*(d*b^-1 r)_i, so one bit mask of rays
            per i decides this for every tau.
-        3. Otherwise the Cramer coefficients of q in tau's rays, those at
-           rays outside maximal[0] first, as they turn negative: q is in
-           tau iff all of them are >= 0.
+        3. Otherwise the coefficients of q in tau's rays, read off the kept
+           `cone_inverse` (d, d*b^-1) of tau: the coefficient at row i has
+           the sign of d*(row_i . q), so q is in tau iff every such product
+           is >= 0. The bilateral search and the empty-slice certificate
+           read the same kept inverse later.
 
     (a) and (b) make the cones cover every generic point the same number
     of times; (c) makes that number 1, which rules out a fan that wraps
@@ -299,10 +301,9 @@ def is_complete(fan: Fan, dets=None) -> bool:
             ridge_sides.setdefault(mask ^ 1 << a, []).append((det > 0) == ((dim - 1 - pos) % 2 == 0))
     if any(len(sides) != 2 or sides[0] == sides[1] for sides in ridge_sides.values()):
         return False
-    first = maximal[0].ray_indices
-    q = tuple(sum(col) for col in zip(*(rays[i] for i in first)))
+    q = tuple(sum(col) for col in zip(*(rays[i] for i in maximal[0].ray_indices)))
     below = None  # per dual functional of maximal[0], the mask of rays where it is <= 0
-    for cone, mask, det in zip(maximal[1:], masks[1:], dets[1:]):
+    for j, mask in enumerate(masks[1:], 1):
         if (mask & masks[0]).bit_count() == dim - 1:
             continue
         if below is None:
@@ -313,9 +314,7 @@ def is_complete(fan: Fan, dets=None) -> bool:
             ]
         if any((mask & b) == mask for b in below):
             continue
-        idx = cone.ray_indices
-        rows = [rays[i] for i in idx]
-        order = sorted(range(dim), key=lambda k: idx[k] in first)
-        if all(int_det(rows[:k] + [q] + rows[k + 1 :]) * det >= 0 for k in order):
+        d, m = fan.cone_inverse(j)
+        if all(d * sum(map(mul, row, q)) >= 0 for row in m):
             return False
     return True

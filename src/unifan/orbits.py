@@ -237,10 +237,16 @@ def non_free_witness(fan: Fan, classes: ClassTable):
     """First cone (by size, then lex) whose complement monoid is not free,
     together with that monoid's irreducibles; None when all are free.
 
-    Freeness depends only on the generator set, and many cones share one,
-    so each distinct set is tested once. A class drops out of a cone's set
-    exactly when the cone holds all of its carriers (`ClassTable.carriers`),
-    so the set is keyed by the union of the carriers the cone holds in full.
+    Only closed cones are tested: those that hold every carrier
+    (`ClassTable.carriers`) of each of their rays. The closure of a cone F,
+    the union of the carriers F holds in full, is a face of F, and the first
+    non-free cone is closed:
+    - for r in F outside its closure, a carrier of r's class lies outside F,
+      so that class is already a generator of Gamma(F); hence Gamma(F) =
+      Gamma(closure);
+    - an empty closure gives every class, which is N^k and free (below);
+    - any other closure is a smaller cone, so it was visited and tested
+      first.
 
     Only the cones with 0 < size < dim are tested; on a radiant class table
     the others are free. The empty cone's monoid holds every class, the k
@@ -252,23 +258,19 @@ def non_free_witness(fan: Fan, classes: ClassTable):
     among them.
     """
     carriers = classes.carriers
-    free: set[int] = set()
     for inside, cone in fan.all_cones.items():
         if len(cone) == fan.dim:
             break  # (size, lex) order: only maximal cones are left
         if not inside:
             continue
-        key = 0
         for r in cone.ray_indices:
-            if not carriers[r] & ~inside:
-                key |= carriers[r]
-        if key in free:
-            continue
-        complement = [r for r in range(fan.num_rays) if not inside >> r & 1]
-        monoid = gamma_of_rayset(classes, complement)
-        if not is_free(monoid):
-            return cone, tuple(irreducibles(monoid))
-        free.add(key)
+            if carriers[r] & ~inside:
+                break
+        else:
+            complement = [r for r in range(fan.num_rays) if not inside >> r & 1]
+            monoid = gamma_of_rayset(classes, complement)
+            if not is_free(monoid):
+                return cone, tuple(irreducibles(monoid))
     return None
 
 

@@ -238,6 +238,15 @@ DP6 = (2, [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)], [[i, (i + 1) % 6
 DOUBLE_WRAP_RAYS = [(1, 0), (-1, 2), (-1, -2), (1, 1), (-1, 0), (1, -2)]
 DOUBLE_WRAP_CONES = [[i, (i + 1) % 6] for i in range(6)]
 
+# A seven-ray double wrap whose second sheet has a ray, (1, 1), through
+# q = (1, 0) + (0, 1): q lies in cones (3, 4) and (4, 5) with a zero
+# coefficient, which the covering test must count.
+WRAP_THROUGH_Q = (
+    2,
+    [(1, 0), (0, 1), (-3, -1), (1, -2), (1, 1), (-5, 1), (1, -5)],
+    [[i, (i + 1) % 7] for i in range(7)],
+)
+
 
 def product_data(factors):
     """Raw data of a product fan: block-diagonal rays, products of cones."""
@@ -489,9 +498,9 @@ class TestIsCompleteAgainstReference:
 
     @pytest.mark.parametrize("spec", [f"pn:{n}" for n in range(1, 6)] + ["wps:1,1,2,4", "P1^3"])
     def test_one_cramer_determinant_per_further_cone(self, monkeypatch, spec):
-        """One determinant per cone for its orientation, and no Cramer
-        coefficient at all: on these fans every cone after the first shares
-        a ridge with it or lies where one of its dual functionals is <= 0."""
+        """One determinant per cone for its orientation, and no cone reaches
+        the last tier: on these fans every cone after the first shares a
+        ridge with it or lies where one of its dual functionals is <= 0."""
         fan = p1_power(3) if spec == "P1^3" else family(spec)
         calls = []
 
@@ -502,6 +511,7 @@ class TestIsCompleteAgainstReference:
         monkeypatch.setattr(fan_module, "int_det", counting)
         assert is_complete(fan)
         assert len(calls) == len(fan.max_cones)
+        assert inverse_tier_count(monkeypatch, [fan]) == 0
 
     def test_small_incomplete_fans(self):
         for fan in (orthant_fan(), validate_fan(1, [(1,)], [[0]])):
@@ -551,6 +561,7 @@ RAW_DATA = {
     "P2xP1": product_data([P2, P1]),
     "cramer-fan": CRAMER_FAN,
     "double-wrap": (2, DOUBLE_WRAP_RAYS, DOUBLE_WRAP_CONES),
+    "double-wrap-through-q": WRAP_THROUGH_Q,
     "suspended-double-wrap": suspended_double_wrap(),
     "cone-removed": (2, HIRZ2_RAYS, HIRZ2_CONES[1:]),
     "p2-folded": (2, [(1, 0), (0, 1), (1, 1)], P2[2]),
@@ -559,22 +570,20 @@ RAW_DATA = {
 }
 
 
-def cramer_count(monkeypatch, fans) -> int:
-    """The Cramer determinants `is_complete` evaluates over the fans: every
-    `int_det` call beyond one orientation determinant per maximal cone."""
-    calls = []
+def inverse_tier_count(monkeypatch, fans) -> int:
+    """The cones `is_complete` settles by the last tier of test (c), over the
+    fans: every `Fan.cone_inverse` read of a cone past the first."""
+    reads = []
+    cone_inverse = Fan.cone_inverse
 
-    def counting(rows):
-        calls.append(rows)
-        return int_det(rows)
+    def counting(fan, i):
+        reads.append(i)
+        return cone_inverse(fan, i)
 
-    monkeypatch.setattr(fan_module, "int_det", counting)
-    total = 0
+    monkeypatch.setattr(Fan, "cone_inverse", counting)
     for fan in fans:
-        before = len(calls)
         is_complete(fan)
-        total += len(calls) - before - len(fan.max_cones)
-    return total
+    return sum(i > 0 for i in reads)
 
 
 class TestIsCompleteAgainstPrevious:
@@ -619,10 +628,10 @@ class TestIsCompleteAgainstPrevious:
                 assert is_complete(truncated, kept) is previous_is_complete(truncated)
 
     def test_cramer_fallback_is_reached(self, monkeypatch):
-        """Neither cheap tier settles every cone: the fallback runs on the
-        hand-made fan and on the 4284 box surfaces."""
-        assert cramer_count(monkeypatch, [validate_fan(*CRAMER_FAN)]) > 0
-        assert cramer_count(monkeypatch, box2_rays5()) > 0
+        """Neither cheap tier settles every cone: the last tier reads the
+        kept inverses on the hand-made fan and on the 4284 box surfaces."""
+        assert inverse_tier_count(monkeypatch, [validate_fan(*CRAMER_FAN)]) > 0
+        assert inverse_tier_count(monkeypatch, box2_rays5()) > 0
 
 
 def _count_in_validation(monkeypatch, build):

@@ -289,6 +289,8 @@ CORPORA = {
     "products": lambda: [
         product_of(family("pn:2"), family("pn:1")),
         product_of(family("pn:2"), family("pn:2")),
+        product_of(family("hirzebruch:1"), family("hirzebruch:2"), family("pn:1")),
+        product_of(family("hirzebruch:2"), family("hirzebruch:2"), family("pn:1")),
     ],
     "negative_surface": lambda: [negative_surface(2)],
     "p3_star_subdivisions": lambda: radiant_p3_subdivisions(),

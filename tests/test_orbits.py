@@ -11,7 +11,7 @@ import unifan.orbits
 
 from unifan.classgroup import radiant_classes
 from unifan.demazure import compute_precedence
-from unifan.fan import ray_mask, validate_fan
+from unifan.fan import _bits, ray_mask, validate_fan
 from unifan.linalg import q_independent, rational_rank
 from unifan.monoid import gamma_of_rayset
 from unifan.orbits import enumerate_basic_subsets, non_free_witness, with_membership
@@ -32,6 +32,7 @@ from conftest import (
     orbit_catalog,
     p1_power,
     pairwise_irreducibles,
+    product_of,
     radiant_p3_draw,
     random_surfaces,
 )
@@ -415,11 +416,19 @@ def reference_non_free_witness(fan, classes):
     return None
 
 
-def distinct_complement_sets(fan, classes):
-    return {
-        gamma_of_rayset(classes, [r for r in range(fan.num_rays) if r not in cone]).generators
-        for cone in fan.all_cones.values()
-    }
+def closed_complements(fan, classes):
+    """The complement masks of the cones with 0 < size < dim that hold every
+    ray of each of their rays' classes, in (size, lex) order."""
+    every = (1 << fan.num_rays) - 1
+    rays_of = {}
+    for r in range(fan.num_rays):
+        rays_of.setdefault(classes.class_of(r), set()).add(r)
+    return [
+        every & ~inside
+        for inside, cone in fan.all_cones.items()
+        if 0 < len(cone) < fan.dim
+        and all(rays_of[classes.class_of(r)] <= set(cone.ray_indices) for r in cone)
+    ]
 
 
 class TestNonFreeWitness:
@@ -438,10 +447,14 @@ class TestNonFreeWitness:
             classes, _ = prepared(fan)
             assert non_free_witness(fan, classes) == reference_non_free_witness(fan, classes)
 
-    @pytest.mark.parametrize("spec", sorted(RADIANT_FIXTURES.values()))
+    @pytest.mark.parametrize(
+        "spec", sorted(RADIANT_FIXTURES.values()) + ["wps:1,2,3", "wps:1,1,2,3"]
+    )
     def test_skips_the_empty_and_the_maximal_cones(self, monkeypatch, spec):
-        """Their complement monoids are always free, so `gamma_of_rayset`
-        never receives all rays or the complement of a maximal cone."""
+        """`gamma_of_rayset` receives exactly the complements of the closed
+        cones with 0 < size < dim, once each, in (size, lex) order, up to the
+        witness: never all rays or the complement of a maximal cone, whose
+        monoids are always free. P1xP1 and P2 have no closed cone."""
         fan = family(spec)
         classes, _ = prepared(fan)
         received = []
@@ -454,13 +467,18 @@ class TestNonFreeWitness:
         monkeypatch.setattr(unifan.orbits, "gamma_of_rayset", recording)
         witness = non_free_witness(fan, classes)
         assert witness == reference_non_free_witness(fan, classes)
-        every = (1 << fan.num_rays) - 1
-        free = {every} | {every & ~ray_mask(cone) for cone in fan.max_cones}
-        assert received and not free & set(received)
+        expected = closed_complements(fan, classes)
+        if witness is not None:
+            every = (1 << fan.num_rays) - 1
+            expected = expected[: expected.index(every & ~ray_mask(witness[0])) + 1]
+        assert received == expected
+        assert bool(received) is (spec not in ("p1xp1", "pn:2"))
 
     def test_is_free_once_per_distinct_complement_set(self, monkeypatch):
-        fan = p1_power(6)
-        classes, _ = prepared(fan)
+        """Once per closed cone, and closed cones have distinct complement
+        class sets: (P^1)^6 has no closed cone, so it makes no call, and
+        F1 x F2 x P1 has 8, the four rays alone in their class and the four
+        cones that pair one from each Hirzebruch factor."""
         tested = []
         is_free = unifan.orbits.is_free
 
@@ -469,10 +487,15 @@ class TestNonFreeWitness:
             return is_free(monoid)
 
         monkeypatch.setattr(unifan.orbits, "is_free", counting)
-        assert non_free_witness(fan, classes) is None
-        distinct = distinct_complement_sets(fan, classes)
-        assert len(tested) == len(distinct) < len(fan.all_cones) == 729
-        assert set(tested) == distinct
+        f1xf2xp1 = product_of(family("hirzebruch:1"), family("hirzebruch:2"), family("pn:1"))
+        for fan, closed_count in [(p1_power(6), 0), (f1xf2xp1, 8)]:
+            classes, _ = prepared(fan)
+            tested.clear()
+            assert non_free_witness(fan, classes) is None
+            closed = closed_complements(fan, classes)
+            assert len(closed) == closed_count
+            assert tested == [gamma_of_rayset(classes, _bits(m)).generators for m in closed]
+            assert len(set(tested)) == closed_count
 
     def test_fourteen_ray_blowup_is_quick(self):
         """A 14-ray radiant blow-up of P3 (class rank 11): the complement of

@@ -79,7 +79,7 @@ def main(argv=None) -> int:
     names = [w["name"] for w in spec["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("workloads", nargs="*", help=f"default: all of {', '.join(names)}")
-    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1, help="seed of the first pair")
     args = parser.parse_args(argv)
     unknown = set(args.workloads) - set(names)
