@@ -114,14 +114,14 @@ def _in_u(e, semisimple, v) -> bool | None:
     return e not in semisimple or sum(map(mul, e, v)) > 0
 
 
-def report_json(report: dict, roots=None, v=None) -> str:
+def report_json(report: dict, roots=None) -> str:
     """The text of `_json_text(report)` with, given `roots`, the report's
     `roots` object extended by a `list` of one object per Demazure root
     (`e`, `distinguished_ray`, `kind`, `in_unipotent_group`), as
     `json.dumps(..., indent=2)` would write it after the 2^53 rule.
 
-    `roots` is the pair (slices, semisimple) of `FanAnalysis.root_slices`
-    and `v` the chosen defining vector, None off radiant fans. The roots are
+    `roots` is the pair (slices, semisimple) of `FanAnalysis.root_slices`;
+    the flags read the report's own `v`, None off radiant fans. The roots are
     written per ray (`_root_list_chunks`), so no record or per-root dict is
     built, and the `orbits` block by `_orbit_chunks`. All the chunks of the
     report go into one flat list that is joined once.
@@ -143,7 +143,7 @@ def report_json(report: dict, roots=None, v=None) -> str:
             lead = ","
         if roots is not None:
             chunks += (lead, '\n    "list": ')
-            _root_list_chunks(*roots, v, chunks)
+            _root_list_chunks(*roots, report["v"], chunks)
         chunks.append("\n  }")
     chunks.append("\n}")
     return "".join(chunks)
@@ -583,7 +583,7 @@ def cmd_analyze(args) -> int:
     except (InvariantViolation, TooLarge) as exc:
         return _emit_error(exc)
     if args.format == "json":
-        print(report_json(report, analysis.root_slices if args.roots else None, analysis.v))
+        print(report_json(report, analysis.root_slices if args.roots else None))
     else:
         sys.stdout.write(render_text(report))
     return 0

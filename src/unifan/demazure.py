@@ -101,13 +101,11 @@ def _certified_empty(fan: Fan) -> int:
     r = sum_u a_u u over sigma's rays. If a_rho > 0 and a_u <= 0 for every
     other u, then a_rho rho = r + sum_u (-a_u) u, so an e with <e, rho> = -1
     pairs negatively with r or with another u: the slice at rho is empty.
-    With b the matrix of sigma's rays as columns and (d, M = d b^-1) from
-    `fan.cone_inverse`, a = M r / d has the signs of d * M r, so sigma need
-    not be a lattice basis. The bilateral search reads the same memo, so a
-    cone it already inverted is not eliminated again. The certificate is
-    sufficient, not complete: an uncertified slice may still be empty.
-    Cones whose rays are all certified are skipped, and the scan stops once
-    every ray is.
+    a_u > 0 iff r is in u's mask of `fan.positive_rays`, and u is in its
+    own mask only, so rho is certified when its mask less the rays in two
+    masks holds another ray; sigma need not be a lattice basis. Sufficient,
+    not complete: an uncertified slice may still be empty. Cones whose rays
+    are all certified are skipped, and the scan stops once every ray is.
     """
     n = fan.dim
     full = (1 << fan.num_rays) - 1
@@ -118,13 +116,14 @@ def _certified_empty(fan: Fan) -> int:
         sigma = cone.ray_indices
         if len(sigma) != n or all(empty >> u & 1 for u in sigma):
             continue
-        # sigma is simplicial and full-dimensional, so b is nonsingular
-        d, m = fan.cone_inverse(i)
-        for r, vector in enumerate(fan.rays):
-            if r not in sigma:
-                positive = [u for u, row in zip(sigma, m) if d * _dot(row, vector) > 0]
-                if len(positive) == 1:
-                    empty |= 1 << positive[0]
+        masks = fan.positive_rays(i)
+        once = twice = 0
+        for p in masks:
+            twice |= once & p
+            once |= p
+        for u, p in zip(sigma, masks):
+            if p & ~twice != 1 << u:
+                empty |= 1 << u
     return empty
 
 

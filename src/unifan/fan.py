@@ -100,9 +100,10 @@ class Fan:
     def kept(self, key, compute):
         """compute(), found on the first call with `key` and kept on this
         `Fan`, outside the fields: the facts the stages share (the maximal
-        cones' inverses, the class group, the first bilateral structure and
-        the class table of each structure asked for) are found once per
-        `Fan` and die with it. A compute that raises keeps nothing."""
+        cones' inverses and positive-ray masks, the class group, the first
+        bilateral structure and the class table of each structure asked for)
+        are found once per `Fan` and die with it. A compute that raises
+        keeps nothing."""
         memo = self._memo
         if key not in memo:
             memo[key] = compute()
@@ -112,12 +113,32 @@ class Fan:
         """`scaled_inverse` of the matrix whose columns are the rays of
         maximal cone i, which must have `dim` rays: (d, d*b^-1) with
         d = +-det b, or None when the rays are dependent. Kept, so each cone
-        is eliminated at most once per `Fan`."""
+        is eliminated at most once per `Fan`. Its signs are read in this
+        module only; other modules read `positive_rays`."""
         cone = self.max_cones[i].ray_indices
         return self.kept(
             ("cone_inverse", i),
             lambda: scaled_inverse(tuple(zip(*(self.rays[u] for u in cone)))),
         )
+
+    def positive_rays(self, i: int) -> tuple[int, ...]:
+        """For each ray u of maximal cone i, in order, the mask of the rays
+        where u's dual functional m_u (1 at u, 0 on the cone's other rays)
+        is positive: u itself and each outside ray r with d*(row_u . r) > 0,
+        (d, rows) the cone's nonsingular `cone_inverse`. Kept, like it."""
+
+        def compute():
+            cone = self.max_cones[i].ray_indices
+            d, m = self.cone_inverse(i)
+            outside = [(1 << r, v) for r, v in enumerate(self.rays) if r not in cone]
+            masks = [1 << u for u in cone]
+            for k, row in enumerate(m):
+                for bit, vector in outside:
+                    if d * sum(map(mul, row, vector)) > 0:
+                        masks[k] |= bit
+            return tuple(masks)
+
+        return self.kept(("positive_rays", i), compute)
 
     @property
     def num_rays(self) -> int:
@@ -258,22 +279,17 @@ def is_complete(fan: Fan, dets=None) -> bool:
         its hyperplane: det(R, a) and det(R, b), with the same row order
         of R, are nonzero of opposite signs;
     (c) q = the sum of the rays of maximal[0], interior to that cone, lies
-        in no other cone tau, so the covering degree is 1. Three exact tests
+        in no other cone tau, so the covering degree is 1. Two exact tests
         settle tau, cheapest first:
-        1. tau shares a ridge R with maximal[0]. By (a) these are the two
-           cones of R, so by (b) tau lies in the closed half-space of R's
-           hyperplane away from maximal[0]'s opposite ray, while q, which
-           has coefficient 1 at that ray, lies strictly on its side.
-        2. Some dual functional m_i of maximal[0] (m_i(u_j) = [i = j] on its
-           rays u_j, the rows of `cone_inverse(0)`'s d*b^-1 over d) is <= 0
-           on every ray of tau. Then m_i <= 0 on tau, but m_i(q) = 1. The
-           sign of m_i(r) is that of d*(d*b^-1 r)_i, so one bit mask of rays
-           per i decides this for every tau.
-        3. Otherwise the coefficients of q in tau's rays, read off the kept
+        1. tau misses the mask of some dual functional m_u of maximal[0]
+           (`positive_rays(0)`): m_u <= 0 on tau, but m_u(q) = 1. A tau
+           sharing a ridge R = maximal[0] - {u} does, so a bit count settles
+           it: by (a) the two are the cones of R, so by (b) tau's ray a
+           opposite R lies strictly across R's hyperplane, the zero set of
+           m_u, from u, and m_u(u) = 1 gives m_u(a) < 0.
+        2. Otherwise the coefficients of q in tau's rays, read off the kept
            `cone_inverse` (d, d*b^-1) of tau: the coefficient at row i has
-           the sign of d*(row_i . q), so q is in tau iff every such product
-           is >= 0. The bilateral search and the empty-slice certificate
-           read the same kept inverse later.
+           the sign of d*(row_i . q), so q is in tau iff all are >= 0.
 
     (a) and (b) make the cones cover every generic point the same number
     of times; (c) makes that number 1, which rules out a fan that wraps
@@ -302,17 +318,9 @@ def is_complete(fan: Fan, dets=None) -> bool:
     if any(len(sides) != 2 or sides[0] == sides[1] for sides in ridge_sides.values()):
         return False
     q = tuple(sum(col) for col in zip(*(rays[i] for i in maximal[0].ray_indices)))
-    below = None  # per dual functional of maximal[0], the mask of rays where it is <= 0
+    first = fan.positive_rays(0)
     for j, mask in enumerate(masks[1:], 1):
-        if (mask & masks[0]).bit_count() == dim - 1:
-            continue
-        if below is None:
-            d, m = fan.cone_inverse(0)
-            below = [
-                ray_mask(r for r, vector in enumerate(rays) if d * sum(map(mul, row, vector)) <= 0)
-                for row in m
-            ]
-        if any((mask & b) == mask for b in below):
+        if (mask & masks[0]).bit_count() == dim - 1 or any(not mask & p for p in first):
             continue
         d, m = fan.cone_inverse(j)
         if all(d * sum(map(mul, row, q)) >= 0 for row in m):

@@ -40,31 +40,24 @@ def iter_bilateral_structures(fan: Fan) -> Iterator[BilateralStructure]:
     all n-subsets of the rays.
 
     A cone is a lattice basis iff the d of its `fan.cone_inverse` is +-1,
-    and then d * (d*b^-1) is the exact inverse, the dual basis in rows. The
-    inverses are kept on the fan, so a second search, or the class group
-    and root certificates that read the same cones, eliminates nothing
-    again, and a rejected candidate computes no Smith form.
+    and then d * (d*b^-1) is the exact inverse, the dual basis in rows; it
+    is bilateral iff each of its `fan.positive_rays` masks holds its own ray
+    only. Both are kept on the fan, and a rejected candidate builds no
+    structure and computes no Smith form.
     """
     n = fan.dim
-    indices = range(fan.num_rays)
     for k, cone in enumerate(fan.max_cones):
         combo = cone.ray_indices
         if len(combo) != n:
             continue
         d, m = fan.cone_inverse(k)
-        if d not in (1, -1):
+        if d not in (1, -1) or any(p != 1 << u for u, p in zip(combo, fan.positive_rays(k))):
             continue
-        dual = tuple(tuple(d * x for x in row) for row in m)
-        candidate = BilateralStructure(
+        yield BilateralStructure(
             positive=combo,
-            negative=tuple(i for i in indices if i not in combo),
-            dual_basis=dual,
+            negative=tuple(i for i in range(fan.num_rays) if i not in combo),
+            dual_basis=tuple(tuple(d * x for x in row) for row in m),
         )
-        if all(
-            all(c <= 0 for c in candidate.coordinates(fan.rays[i]))
-            for i in candidate.negative
-        ):
-            yield candidate
 
 
 def find_bilateral(fan: Fan) -> BilateralStructure | None:

@@ -743,6 +743,15 @@ class TestFaceIndex:
         assert a == b and hash(a) == hash(b)
         assert repr(a) == repr(b) and "inverse" not in repr(a)
 
+    def test_positive_rays_memo_is_not_part_of_equality_hash_or_repr(self):
+        a = validate_fan(2, HIRZ2_RAYS, HIRZ2_CONES)
+        b = Fan(a.dim, a.rays, a.max_cones)
+        assert a.positive_rays(3) == (0b100, 0b1001)
+        assert a.positive_rays(3) is a.positive_rays(3)
+        assert "_memo" in vars(a) and "_memo" not in vars(b)
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == repr(b) and "positive" not in repr(a)
+
     def test_fan_has_exactly_three_fields(self):
         assert [f.name for f in fields(Fan)] == ["dim", "rays", "max_cones"]
 

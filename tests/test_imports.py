@@ -312,3 +312,14 @@ def test_orbits_does_not_import_demazure():
         if isinstance(node, ast.ImportFrom) and node.level == 1
     }
     assert imported == {"classgroup", "fan", "linalg", "monoid"}
+
+
+def test_demazure_reads_no_cone_inverse():
+    """The empty-slice certificate reads the signs of `Fan.positive_rays`;
+    only `fan` derives a sign from a kept inverse."""
+    calls = [
+        n.lineno
+        for n in ast.walk(MODULES["demazure"])
+        if isinstance(n, ast.Attribute) and n.attr == "cone_inverse"
+    ]
+    assert not calls, f"demazure reads cone_inverse at lines {calls}"

@@ -4,7 +4,9 @@ For each workload, runs `perfbench/run.py --trace 0` for the `run_seconds`
 of BENCHMARK.json once on each side per pair, at one seed per pair,
 alternating which side goes first. HEAD, the parent of an uncommitted
 change, is exported with `git archive` into a temporary directory, which is
-removed afterwards; perfbench/ is only run, never changed. Prints, per
+removed afterwards; perfbench/ is only run, never changed. Prints one line
+per run as it finishes (workload, seed, side and its end-to-end metrics),
+so a failing run loses nothing already measured. Then prints, per
 end-to-end metric of BENCHMARK.json: HEAD's median and quartiles, the
 working tree's median, the change of the medians and the number of pairs in
 which the working tree was better.
@@ -97,7 +99,10 @@ def main(argv=None) -> int:
             for i, seed in enumerate(seeds):
                 order = ("base", "work") if i % 2 == 0 else ("work", "base")
                 for side in order:
-                    runs[side].append(bench(sides[side], workload, seed, spec["run_seconds"]))
+                    run = bench(sides[side], workload, seed, spec["run_seconds"])
+                    runs[side].append(run)
+                    values = " ".join(f"{name}={run[name]:.6g}" for name in better)
+                    print(f"run {workload} seed {seed} {side}: {values}", flush=True)
             report(workload, seeds, runs, better)
     finally:
         shutil.rmtree(folder)
