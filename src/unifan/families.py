@@ -3,6 +3,7 @@ cross-checkers for surfaces and class-group rank one."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
@@ -48,17 +49,24 @@ def parse_family(text: str) -> FamilySpec:
         return FamilySpec(kind="p1xp1")
     if head in ("hirzebruch", "pn"):
         try:
-            value = int(tail)
+            return FamilySpec(kind=head, parameter=_integer(tail))
         except ValueError:
             raise InvalidSpec(f"{head} needs one integer parameter") from None
-        return FamilySpec(kind=head, parameter=value)
     if head == "wps":
         try:
-            weights = tuple(int(w) for w in tail.split(","))
+            return FamilySpec(kind="wps", weights=tuple(_integer(w) for w in tail.split(",")))
         except ValueError:
             raise InvalidSpec("wps needs a comma-separated weight list") from None
-        return FamilySpec(kind="wps", weights=weights)
     raise InvalidSpec(f"unknown family {head!r}")
+
+
+def _integer(field: str) -> int:
+    """The value of a field written as ASCII `0|-?[1-9][0-9]*`; ValueError
+    otherwise. `int` alone also reads `1_0`, `+2`, ` 3`, `01` and non-ASCII
+    digits, and raises ValueError past its digit limit."""
+    if not re.fullmatch("0|-?[1-9][0-9]*", field):
+        raise ValueError(f"not a canonical integer: {field!r}")
+    return int(field)
 
 
 def build(spec: FamilySpec) -> Fan:

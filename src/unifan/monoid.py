@@ -63,17 +63,19 @@ def contains(monoid: ClassMonoid, vector) -> bool:
 def irreducibles(monoid: ClassMonoid) -> list[IntVec]:
     """Generators that are not sums of two or more generators, in order.
 
-    A generator g is reducible iff g lies in the monoid of the generators
-    other than g, so each generator costs one membership query. Proof: the
-    generators are distinct nonzero vectors of the nonnegative lattice. If
-    g = h_1 + ... + h_m with m >= 2, then g - h_i is the nonzero sum of the
-    other terms, so h_i != g for every i. Conversely, a combination of
-    generators other than g that equals g has coefficients summing to at
-    least 1, as g is nonzero, and not exactly 1, as that would make a
-    generator other than g equal to g.
+    A unit generator is irreducible with no query: a sum of two or more
+    nonzero nonnegative vectors has coordinate sum at least 2. A non-unit
+    generator g is reducible iff g lies in the monoid of the generators
+    other than g, so each non-unit generator costs one membership query.
+    Proof: the generators are distinct nonzero vectors of the nonnegative
+    lattice. If g = h_1 + ... + h_m with m >= 2, then g - h_i is the nonzero
+    sum of the other terms, so h_i != g for every i. Conversely, a
+    combination of generators other than g that equals g has coefficients
+    summing to at least 1, as g is nonzero, and not exactly 1, as that would
+    make a generator other than g equal to g.
     """
     gens = monoid.generators
-    return [g for g in gens if not in_span(g, [h for h in gens if h != g])]
+    return [g for g in gens if sum(g) == 1 or not in_span(g, [h for h in gens if h != g])]
 
 
 def is_free(monoid: ClassMonoid) -> bool:
@@ -91,6 +93,19 @@ def is_free(monoid: ClassMonoid) -> bool:
       that g does not divide. Every generator below h is a multiple of g, so
       h is no sum of them, and h is irreducible too. Two irreducibles in Q^1
       are dependent.
+
+    Otherwise the unit rows are eliminated before the rank test. Let J be
+    the coordinates of the unit generators; every unit generator is
+    irreducible, so these are the unit irreducibles. Only the non-unit
+    irreducibles, with the J coordinates deleted, reach `q_independent`.
+    Proof: order the columns J first. The unit irreducibles are the rows
+    (I, 0); subtracting from each non-unit row its J entries times the unit
+    rows leaves (0, N), where N is that row with the J coordinates deleted.
+    Row operations keep the rank, so the rank of the irreducibles is |J|
+    plus the rank of the rows N, and they are independent iff the rows N
+    are. On a radiant class table at most dim classes are not unit
+    vectors, so the rank test has at most dim rows however many rays the
+    fan has.
     """
     gens = monoid.generators
     if not gens or sum(1 for g in gens if sum(g) == 1) == len(gens[0]):
@@ -98,4 +113,6 @@ def is_free(monoid: ClassMonoid) -> bool:
     if len(gens[0]) == 1:
         least = gens[0][0]
         return all(g % least == 0 for (g,) in gens)
-    return q_independent(irreducibles(monoid))
+    units = {g.index(1) for g in gens if sum(g) == 1}
+    rest = [g for g in irreducibles(monoid) if sum(g) != 1]
+    return q_independent([[x for j, x in enumerate(g) if j not in units] for g in rest])

@@ -11,7 +11,7 @@ from unifan.coxspace import CoxPoint
 from unifan.families import build, parse_family
 from unifan.fan import Cone, Fan, ray_mask
 from unifan.linalg import NotUnimodular, q_independent
-from unifan.monoid import contains, irreducibles
+from unifan.monoid import contains, in_span, irreducibles
 from unifan.orbits import OrbitRecord, Verdict
 from unifan.pipeline import analyze_fan
 from unifan.radiance import find_bilateral
@@ -365,6 +365,26 @@ def pairwise_irreducibles(monoid):
         if not reducible:
             out.append(g)
     return out
+
+
+# `monoid.irreducibles` and `monoid.is_free` as they were before unit
+# generators skipped their membership query and the rank test dropped the
+# unit rows and columns: the slow path the unit elimination is checked
+# against. Verbatim, but for the reference `is_free` calling the reference
+# `irreducibles`.
+def reference_irreducibles(monoid):
+    gens = monoid.generators
+    return [g for g in gens if not in_span(g, [h for h in gens if h != g])]
+
+
+def full_rank_is_free(monoid) -> bool:
+    gens = monoid.generators
+    if not gens or sum(1 for g in gens if sum(g) == 1) == len(gens[0]):
+        return True
+    if len(gens[0]) == 1:
+        least = gens[0][0]
+        return all(g % least == 0 for (g,) in gens)
+    return q_independent(reference_irreducibles(monoid))
 
 
 def minimal_basic(classes, precedence, monoid):

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from unifan.orbits import enumerate_basic_subsets
 from unifan.pipeline import analyze_fan
 from unifan.radiance import BilateralStructure
 
-from conftest import RADIANT_FIXTURES, del_pezzo6
+from conftest import RADIANT_FIXTURES, del_pezzo6, family, p1_power
 from test_demazure import forbidden
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -288,7 +289,118 @@ def analyze_capped(*args) -> subprocess.CompletedProcess:
     )
 
 
+BAD_VALUES = [None, True, 2.5, "1", [1], {}, 10**30, -(10**30)]
+
+
+def mangled_fan_file(rng, bases):
+    """One seeded fan file, valid or broken: a base fan as it is, with one
+    of its dim, rays or cones changed, a random fan of dimension 1 to 4, a
+    value other than a fan object, or text that is not UTF-8 JSON. Returns
+    the bytes to write."""
+    data = json.loads(json.dumps(rng.choice(bases)))
+    dim, rays, cones = data["dim"], data["rays"], data["max_cones"]
+    kind = rng.randrange(9)
+    if kind == 1:
+        data["dim"] = rng.choice([0, -1, dim - 1, dim + 1, 5] + BAD_VALUES)
+    elif kind == 2:
+        ray = rng.choice(rays)
+        k = rng.randrange(len(ray))
+        change = rng.randrange(5)
+        if change == 0:
+            del ray[k]
+        elif change == 1:
+            ray.append(rng.randint(-2, 2))
+        elif change == 2:
+            ray[:] = [2 * x for x in ray] if rng.random() < 0.5 else [0] * len(ray)
+        elif change == 3:
+            rays.append(list(ray))
+        else:
+            ray[k] = rng.choice(BAD_VALUES)
+    elif kind == 3:
+        cone = rng.choice(cones)
+        change = rng.randrange(4)
+        if change == 0:
+            cone.pop()
+        elif change == 1:
+            cone.append(rng.choice([cone[0], len(rays), -1]))
+        elif change == 2:
+            cones.remove(cone)
+        else:
+            cone[rng.randrange(len(cone))] = rng.choice(BAD_VALUES)
+    elif kind == 4:
+        key = rng.choice(["dim", "rays", "max_cones"])
+        if rng.random() < 0.5:
+            del data[key]
+        else:
+            data[key] = rng.choice([[], [[]], "x"] + BAD_VALUES)
+    elif kind == 5:
+        data = rng.choice([[], "fan", 3, None, [data]])
+    elif kind == 6:
+        text = json.dumps(data)
+        return rng.choice([text[: rng.randrange(len(text))].encode(), text.encode() + b"\xff", b""])
+    elif kind >= 7:
+        dim = rng.randint(1, 4)
+        rays = [[rng.randint(-1, 1) for _ in range(dim)] for _ in range(rng.randint(0, 2 * dim + 2))]
+        cones = [
+            sorted(rng.sample(range(len(rays) + 1), min(dim, len(rays) + 1)))
+            for _ in range(rng.randint(0, 2 ** dim))
+        ]
+        data = {"dim": dim, "rays": rays, "max_cones": cones}
+    return json.dumps(data).encode()
+
+
+def random_analyze_flags(rng):
+    flags = ["--format", rng.choice(["text", "json"])]
+    flags += [flag for flag in ("--orbits", "--roots", "--check") if rng.random() < 0.3]
+    return flags + (["--seed", str(rng.randint(-5, 5))] if rng.random() < 0.3 else [])
+
+
+def assert_report_or_error_object(code, out, err, flags):
+    """Exit 0 with a report, or exit 2 with one `{"error": {...}}` object;
+    never a traceback."""
+    assert err == ""
+    if code == 0:
+        if "json" in flags:
+            assert "error" not in json.loads(out)
+        return
+    assert code == 2
+    payload = json.loads(out)
+    assert list(payload) == ["error"] and sorted(payload["error"]) == ["kind", "message"]
+
+
 class TestHostileInput:
+    def test_seeded_fan_file_fuzz(self, capsys, tmp_path):
+        """300 seeded fan files, valid and broken, under random valid flags:
+        each run exits 0 or exits 2 with a single error object."""
+        rng = random.Random(31)
+        bases = [
+            fan_file_payload(fan)
+            for fan in [family(spec) for spec in ("pn:1", "pn:2", "pn:3", "pn:4", "hirzebruch:2", "wps:1,2,3")]
+            + [p1_power(3), p1_power(4), del_pezzo6()]
+        ]
+        path = tmp_path / "fuzz.json"
+        codes = {0: 0, 2: 0}
+        for _ in range(300):
+            path.write_bytes(mangled_fan_file(rng, bases))
+            flags = random_analyze_flags(rng)
+            code = main(["analyze", str(path), *flags])
+            assert_report_or_error_object(code, *capsys.readouterr(), flags)
+            codes[code] += 1
+        assert min(codes.values()) >= 30, codes
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["hirzebruch:1_0", "pn:\u0663", "pn: 3", "pn:+2", "pn:01", "pn:-0", "wps:1,+1,2", "wps:1, 1,2"],
+    )
+    def test_non_canonical_family_specs(self, capsys, spec):
+        rng = random.Random(spec)
+        flags = random_analyze_flags(rng)
+        code = main(["analyze", "--family", spec, *flags])
+        out, err = capsys.readouterr()
+        assert_report_or_error_object(code, out, err, flags)
+        assert code == 2
+        assert json.loads(out)["error"]["kind"] == "InvalidSpec"
+
     def test_one_cone_of_dimension_30_is_rejected_without_its_faces(self, tmp_path):
         """Validation reads the maximal cones only: the 2^30 faces of the one
         cone would not fit under the child's 1 GiB address-space limit."""

@@ -90,6 +90,39 @@ class TestBuild:
             build(parse_family(text))
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("hirzebruch:1_0", "hirzebruch needs one integer parameter"),
+            ("pn:\u0663", "pn needs one integer parameter"),
+            ("pn: 3", "pn needs one integer parameter"),
+            ("pn:+2", "pn needs one integer parameter"),
+            ("pn:01", "pn needs one integer parameter"),
+            ("pn:-0", "pn needs one integer parameter"),
+            ("pn:3\n", "pn needs one integer parameter"),
+            ("pn:" + "9" * 5000, "pn needs one integer parameter"),
+            ("wps:1, 1,2", "wps needs a comma-separated weight list"),
+            ("wps:1,+1,2", "wps needs a comma-separated weight list"),
+            ("wps:1,1," + "9" * 5000, "wps needs a comma-separated weight list"),
+        ],
+    )
+    def test_only_canonical_ascii_integers_parse(self, text, message):
+        """A field parses only as ASCII 0|-?[1-9][0-9]*; a field past
+        `int`'s digit limit gets the same error, not a ValueError."""
+        with pytest.raises(InvalidSpec, match=f"^{message}$"):
+            parse_family(text)
+
+    def test_negative_and_zero_fields_still_parse(self):
+        """So these specs fail in `build`, with its messages."""
+        assert parse_family("hirzebruch:-1") == FamilySpec(kind="hirzebruch", parameter=-1)
+        assert parse_family("wps:1,0,-3") == FamilySpec(kind="wps", weights=(1, 0, -3))
+        for text, message in [
+            ("hirzebruch:-1", "hirzebruch parameter must be >= 0"),
+            ("wps:1,0,1", "weights must be positive"),
+        ]:
+            with pytest.raises(InvalidSpec, match=f"^{message}$"):
+                build(parse_family(text))
+
+    @pytest.mark.parametrize(
         "spec",
         ["hirzebruch:0", "hirzebruch:5", "p1xp1", "pn:1", "pn:3", "wps:1,1,4", "wps:1,2,3", "wps:1,1,2,4"],
     )

@@ -1,10 +1,16 @@
+import json
 import random
+from collections import Counter
 from dataclasses import replace
 from itertools import product
 
 import pytest
 
+import unifan.monoid
+import unifan.orbits
+from unifan import validate_fan
 from unifan.classgroup import radiant_classes
+from unifan.cli import main
 from unifan.linalg import DegenerateGenerator, q_independent
 from unifan.monoid import ClassMonoid, contains, gamma_of_rayset, in_span, irreducibles, is_free
 from unifan.orbits import non_free_witness
@@ -14,12 +20,16 @@ from conftest import (
     CERTIFICATE_CORPORA,
     RADIANT_FIXTURES,
     family,
+    full_rank_is_free,
     negative_surface,
     p1_power,
     pairwise_irreducibles,
     product_of,
+    radiant_p3_draw,
     random_surfaces,
+    reference_irreducibles,
 )
+from test_demazure import PRODUCTS
 from test_linalg import reference_solve_nonneg
 
 
@@ -266,6 +276,130 @@ class TestIsFreeAgainstReference:
         assert is_free(everything)
         non_free_witness(fan, table)
         assert everything not in queried
+
+
+def p3_draw(steps):
+    return validate_fan(3, *radiant_p3_draw(steps), require_complete=True)
+
+
+def distinct_complement_monoids(fans):
+    """The nonempty complement monoids of every face of the radiant fans,
+    each once, with the least dimension of a fan it comes from."""
+    dims = {}
+    for fan in fans:
+        if find_bilateral(fan) is not None:
+            for monoid in complement_monoids(fan):
+                if monoid.generators:
+                    dims[monoid] = min(dims.get(monoid, fan.dim), fan.dim)
+    return dims
+
+
+def assert_unit_elimination(dims, monkeypatch) -> Counter:
+    """On each monoid, `irreducibles` and `is_free` answer as the references
+    do. `irreducibles` queries each non-unit generator once, against all the
+    other generators, and no unit generator; `is_free` passes `q_independent`
+    at most dim rows. Counts the monoids with no unit and with only units."""
+    queries, rows = [], []
+    in_span, q_independent = unifan.monoid.in_span, unifan.monoid.q_independent
+
+    def counted_in_span(vector, gens):
+        queries.append((vector, list(gens)))
+        return in_span(vector, gens)
+
+    def counted_q_independent(vectors):
+        rows.append(len(vectors))
+        return q_independent(vectors)
+
+    monkeypatch.setattr(unifan.monoid, "in_span", counted_in_span)
+    monkeypatch.setattr(unifan.monoid, "q_independent", counted_q_independent)
+    kinds = Counter()
+    for monoid, dim in dims.items():
+        gens = monoid.generators
+        queries.clear()
+        assert irreducibles(monoid) == reference_irreducibles(monoid), gens
+        assert queries == [(g, [h for h in gens if h != g]) for g in gens if sum(g) > 1], gens
+        rows.clear()
+        assert is_free(monoid) == full_rank_is_free(monoid), gens
+        assert all(n <= dim for n in rows), (gens, rows)
+        units = sum(1 for g in gens if sum(g) == 1)
+        kinds["no unit"] += units == 0
+        kinds["only units"] += units == len(gens)
+    return kinds
+
+
+UNIT_ELIMINATION_CORPORA = {
+    **CERTIFICATE_CORPORA,
+    "demazure_products": lambda: [build() for build in PRODUCTS.values()],
+    "radiant_p3_draws": lambda: [p3_draw(steps) for steps in range(15)],
+}
+
+# The corpora with class rank one members or other monoids of non-unit
+# classes only; every corpus has monoids of unit classes only.
+HAS_NO_UNIT_MONOIDS = {"box2-rays5", "family_specs", "fixtures", "smith_path"}
+
+
+class TestUnitEliminationAgainstReference:
+    """`irreducibles` without a query for unit generators, and `is_free` with
+    the unit rows and columns eliminated, against the code they replaced."""
+
+    @pytest.mark.parametrize("name", sorted(UNIT_ELIMINATION_CORPORA))
+    def test_complement_monoids(self, monkeypatch, name):
+        dims = distinct_complement_monoids(UNIT_ELIMINATION_CORPORA[name]())
+        kinds = assert_unit_elimination(dims, monkeypatch)
+        assert kinds["only units"] > 0
+        assert (kinds["no unit"] > 0) == (name in HAS_NO_UNIT_MONOIDS), kinds
+
+    def test_seeded_monoids(self, monkeypatch):
+        """Generator sets no fan gives: some but not all units, with or
+        without non-units. The rank test gets at most the non-units."""
+        rng = random.Random(31)
+        dims = {}
+        for _ in range(400):
+            k = rng.randint(2, 4)
+            units = [tuple(int(i == j) for j in range(k)) for i in rng.sample(range(k), rng.randint(0, k - 1))]
+            others = [tuple(rng.randint(0, 3) for _ in range(k)) for _ in range(rng.randint(0, 4))]
+            gens = tuple(sorted({g for g in units + others if sum(g) > 0}))
+            if gens:
+                dims[ClassMonoid(gens)] = sum(1 for g in gens if sum(g) > 1)
+        kinds = assert_unit_elimination(dims, monkeypatch)
+        assert min(kinds.values()) >= 20, kinds
+
+    @pytest.mark.slow
+    def test_radiant_p3_draws_to_thirty_steps(self, monkeypatch):
+        fans = [p3_draw(steps) for steps in range(15, 31)]
+        assert_unit_elimination(distinct_complement_monoids(fans), monkeypatch)
+
+    def test_two_hundred_four_ray_draw(self, monkeypatch, capsys, tmp_path):
+        """The references agree on the monoids of the closed cones that the
+        witness search tests (on the draw's other faces the full-rank test
+        takes seconds per monoid), and the default report's verdict and
+        witness are those the references find."""
+        rays, cones = radiant_p3_draw(200)
+        fan = validate_fan(3, rays, cones, require_complete=True)
+        classes = table_of(fan)
+        tested = {}
+
+        def recording(monoid):
+            tested[monoid] = fan.dim
+            return is_free(monoid)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(unifan.orbits, "is_free", recording)
+            witness = non_free_witness(fan, classes)
+        assert witness is not None and len(tested) >= 1
+        with monkeypatch.context() as patch:
+            assert_unit_elimination(tested, patch)
+        with monkeypatch.context() as patch:
+            patch.setattr(unifan.orbits, "is_free", full_rank_is_free)
+            patch.setattr(unifan.orbits, "irreducibles", reference_irreducibles)
+            assert non_free_witness(fan, classes) == witness
+        path = tmp_path / "draw200.json"
+        path.write_text(json.dumps({"dim": 3, "rays": rays, "max_cones": cones}))
+        assert main(["analyze", str(path), "--format", "json"]) == 0
+        verdict = json.loads(capsys.readouterr().out)["verdict"]
+        assert verdict["finite"] is False
+        assert verdict["witness_cone"] == list(witness[0].ray_indices)
+        assert verdict["witness_irreducibles"] == [list(g) for g in witness[1]]
 
 
 def all_representations(target, gens):

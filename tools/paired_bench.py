@@ -9,7 +9,8 @@ per run as it finishes (workload, seed, side and its end-to-end metrics),
 so a failing run loses nothing already measured. Then prints, per
 end-to-end metric of BENCHMARK.json: HEAD's median and quartiles, the
 working tree's median, the change of the medians and the number of pairs in
-which the working tree was better.
+which the working tree was better. A SIGTERM stops the run as an exception
+does: the perfbench child is killed and the export removed.
 
 Usage: python tools/paired_bench.py [--pairs N] [--first-seed K] [WORKLOAD ...]
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -90,6 +92,9 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     seeds = range(args.first_seed, args.first_seed + args.pairs)
 
+    # Without a handler SIGTERM ends the process at once; SystemExit unwinds
+    # it, so `subprocess.run` kills the child it waits on and `finally` runs.
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     folder = Path(tempfile.mkdtemp(prefix="paired-bench-"))
     try:
         export(folder)
